@@ -13,7 +13,6 @@ sanity oracles.
 __version__ = "0.1.0"
 
 from . import errors
-from .words import factor_relation, factors
 from .families import (
     ALTERNATING,
     BANACH,
@@ -50,7 +49,6 @@ from .conditions import (
     analyze_family,
     check_corollary,
     check_sandwich,
-    check_split,
     check_theorem,
     decompose,
 )

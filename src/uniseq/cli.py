@@ -37,92 +37,99 @@ def _show(word):
     return word if word else "''"
 
 
-def _emit(report, fmt, lines):
-    if fmt == "json":
-        print(json.dumps(report))
-    else:
-        print("\n".join(lines(report)))
+def _words(words):
+    return ", ".join(_show(w) for w in words)
 
 
-def _violation_lines(report):
-    for v in report.get("violations", ()):
-        indices = ",".join(str(i) for i in v["indices"])
-        witness = " ".join(_show(w) for w in v["witness"])
-        yield f"violation {v['condition']} at {indices}: {witness}"
-    for v in report.get("warnings", ()):
-        indices = ",".join(str(i) for i in v["indices"])
-        witness = " ".join(_show(w) for w in v["witness"])
-        yield f"warning {v['condition']} at {indices}: {witness}"
+def _line(label):
+    return lambda value: [f"{label}: {value}"]
+
+
+def _findings(kind):
+    def render(items):
+        for v in items:
+            indices = ",".join(str(i) for i in v["indices"])
+            witness = " ".join(_show(w) for w in v["witness"])
+            yield f"{kind} {v['condition']} at {indices}: {witness}"
+
+    return render
+
+
+# Text lines for each report key, in the order text reports print them.
+# Keys a report lacks, or holds as null, print nothing.
+TEXT_LINES = {
+    "command": _line("command"),
+    "family": _line("family"),
+    "ground_size": _line("ground size"),
+    "ground": lambda ground: ["ground: " + ", ".join(str(p) for p in ground)],
+    "bound": _line("bound"),
+    "samples": _line("samples"),
+    "seed": _line("seed"),
+    "verdict": _line("verdict"),
+    "result": _line("result"),
+    "generators": lambda gens: ["generators: " + (_words(gens) or "(none)")],
+    "iterations": _line("iterations"),
+    "pool": lambda pool: ["pool: " + _words(pool)],
+    "rounds": lambda rounds: [
+        line
+        for k, rnd in enumerate(rounds, 1)
+        for line in (
+            f"round {k} repeated: " + _words(rnd["repeated"]),
+            f"round {k} cross: " + _words(rnd["cross"]),
+        )
+    ],
+    "decompositions": lambda decomps: [
+        f"decomposition {d['n']}: prefix={_show(d['prefix'])} "
+        f"middle={_show(d['middle'])} suffix={_show(d['suffix'])}"
+        for d in decomps
+    ],
+    "checks": lambda checks: [f"check {name}: {count}" for name, count in checks.items()],
+    "failure": lambda failure: [f"failure: {json.dumps(failure)}"],
+    "reason": _line("reason"),
+    "witness": lambda assignment: [
+        f"{letter}: " + ",".join(str(v) for v in assignment[letter]) for letter in "ab"
+    ],
+    "blocks": lambda parts: ["block: " + ", ".join(str(p) for p in b) for b in parts],
+    "violations": _findings("violation"),
+    "warnings": _findings("warning"),
+}
+
+
+def render_text(report):
+    """The text form of a report: each non-null field in TEXT_LINES order."""
+    lines = []
+    for key, render in TEXT_LINES.items():
+        if report.get(key) is not None:
+            lines.extend(render(report[key]))
+    return "\n".join(lines)
+
+
+def _family_report(args, **fields):
+    return {"command": args.command, "family": args.family, "bound": args.bound, **fields}
 
 
 def cmd_closure(args):
-    family = _resolve_family(args.family)
-    words = instantiate_many(family, args.bound)
+    words = instantiate_many(_resolve_family(args.family), args.bound)
     result = closure(words)
-    report = {
-        "command": "closure",
-        "family": args.family,
-        "bound": args.bound,
-        "generators": list(result.generators),
-        "iterations": result.iterations,
-        "pool": list(result.pool),
-        "rounds": [
-            {"repeated": list(r.repeated), "cross": list(r.cross)}
-            for r in result.rounds
-        ],
-    }
-
-    def lines(rep):
-        out = [
-            "command: closure",
-            f"family: {rep['family']}",
-            f"bound: {rep['bound']}",
-            "generators: " + (", ".join(_show(g) for g in rep["generators"]) or "(none)"),
-            f"iterations: {rep['iterations']}",
-            "pool: " + ", ".join(_show(w) for w in rep["pool"]),
-        ]
-        for k, rnd in enumerate(rep["rounds"], 1):
-            out.append(f"round {k} repeated: " + ", ".join(_show(w) for w in rnd["repeated"]))
-            out.append(f"round {k} cross: " + ", ".join(_show(w) for w in rnd["cross"]))
-        return out
-
-    _emit(report, args.format, lines)
-    return 0
+    report = _family_report(
+        args,
+        generators=list(result.generators),
+        iterations=result.iterations,
+        pool=list(result.pool),
+        rounds=[{"repeated": list(r.repeated), "cross": list(r.cross)} for r in result.rounds],
+    )
+    return report, 0
 
 
-def _check_report(command, args, verdict, extra=None):
-    report = {
-        "command": command,
-        "family": args.family,
-        "bound": args.bound,
-        "verdict": "holds" if verdict.holds else "fails",
-        "violations": [v.to_json() for v in verdict.violations],
-        "warnings": [v.to_json() for v in verdict.warnings],
-    }
-    if extra:
-        report.update(extra)
-
-    def lines(rep):
-        out = [
-            f"command: {rep['command']}",
-            f"family: {rep['family']}",
-            f"bound: {rep['bound']}",
-            f"verdict: {rep['verdict']}",
-        ]
-        if "generators" in rep:
-            out.append(
-                "generators: " + (", ".join(_show(g) for g in rep["generators"]) or "(none)")
-            )
-        for d in rep.get("decompositions", ()):
-            out.append(
-                f"decomposition {d['n']}: prefix={_show(d['prefix'])} "
-                f"middle={_show(d['middle'])} suffix={_show(d['suffix'])}"
-            )
-        out.extend(_violation_lines(rep))
-        return out
-
-    _emit(report, args.format, lines)
-    return 0 if verdict.holds else 1
+def _check_report(args, verdict, **extra):
+    report = _family_report(
+        args,
+        verdict="holds" if verdict.holds else "fails",
+        violations=[v.to_json() for v in verdict.violations],
+        warnings=[v.to_json() for v in verdict.warnings],
+        **extra,
+    )
+    return report, 0 if verdict.holds else 1
 
 
 def _decomposition_json(analysis):
@@ -135,108 +142,57 @@ def _decomposition_json(analysis):
 
 
 def cmd_check_thm(args):
-    family = _resolve_family(args.family)
-    analysis = analyze_family(family, args.bound)
-    extra = {
-        "generators": list(analysis.closure.generators),
-        "decompositions": _decomposition_json(analysis),
-    }
-    return _check_report("check-thm", args, analysis.verdict, extra)
+    analysis = analyze_family(_resolve_family(args.family), args.bound)
+    return _check_report(
+        args,
+        analysis.verdict,
+        generators=list(analysis.closure.generators),
+        decompositions=_decomposition_json(analysis),
+    )
 
 
 def cmd_check_cor(args):
-    family = _resolve_family(args.family)
-    verdict = check_corollary(family, args.bound)
-    return _check_report("check-cor", args, verdict)
+    return _check_report(args, check_corollary(_resolve_family(args.family), args.bound))
 
 
 def cmd_decompose(args):
-    family = _resolve_family(args.family)
-    analysis = analyze_family(family, args.bound)
+    analysis = analyze_family(_resolve_family(args.family), args.bound)
     split_failures = [v for v in analysis.verdict.violations if v.condition == "split"]
-    report = {
-        "command": "decompose",
-        "family": args.family,
-        "bound": args.bound,
-        "generators": list(analysis.closure.generators),
-        "decompositions": _decomposition_json(analysis),
-        "violations": [v.to_json() for v in split_failures],
-    }
-
-    def lines(rep):
-        out = [
-            "command: decompose",
-            f"family: {rep['family']}",
-            f"bound: {rep['bound']}",
-            "generators: " + (", ".join(_show(g) for g in rep["generators"]) or "(none)"),
-        ]
-        for d in rep["decompositions"]:
-            out.append(
-                f"decomposition {d['n']}: prefix={_show(d['prefix'])} "
-                f"middle={_show(d['middle'])} suffix={_show(d['suffix'])}"
-            )
-        out.extend(_violation_lines(rep))
-        return out
-
-    _emit(report, args.format, lines)
-    return 0 if not split_failures else 1
+    report = _family_report(
+        args,
+        generators=list(analysis.closure.generators),
+        decompositions=_decomposition_json(analysis),
+        violations=[v.to_json() for v in split_failures],
+    )
+    return report, 0 if not split_failures else 1
 
 
 def cmd_witness(args):
     family = _resolve_family(args.family)
     targets = seeded_targets(args.seed, args.bound)
     samples = sample_states(args.samples, args.seed)
-    base = {
-        "command": "witness",
-        "family": args.family,
-        "bound": args.bound,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
-
-    def lines(rep):
-        out = [
-            "command: witness",
-            f"family: {rep['family']}",
-            f"bound: {rep['bound']}",
-            f"samples: {rep['samples']}",
-            f"seed: {rep['seed']}",
-            f"verdict: {rep['verdict']}",
-        ]
-        for name, count in rep.get("checks", {}).items():
-            out.append(f"check {name}: {count}")
-        if rep.get("failure"):
-            out.append(f"failure: {json.dumps(rep['failure'])}")
-        if rep.get("reason"):
-            out.append(f"reason: {rep['reason']}")
-        return out
-
+    report = _family_report(args, samples=args.samples, seed=args.seed)
     try:
         result = verify_witness(family, args.bound, targets, samples)
     except HypothesisNotVerified as exc:
-        report = dict(base, verdict="not-verified", reason=str(exc))
+        report.update(verdict="not-verified", reason=str(exc))
         if exc.verdict is not None:
             report["violations"] = [v.to_json() for v in exc.verdict.violations]
-        _emit(report, args.format, lines)
-        return 1
+        return report, 1
     except VerificationFailure as exc:
-        report = dict(base, verdict="fail")
+        report["verdict"] = "fail"
         if exc.report is not None:
-            report["checks"] = dict(exc.report.checks)
-            report["failure"] = exc.report.failure
-        _emit(report, args.format, lines)
-        return 1
-    report = dict(base, verdict="pass", checks=dict(result.checks), failure=None)
-    _emit(report, args.format, lines)
-    return 0
+            report.update(checks=dict(exc.report.checks), failure=exc.report.failure)
+        return report, 1
+    report.update(verdict="pass", checks=dict(result.checks), failure=None)
+    return report, 0
 
 
-def _parse_target(text):
+def _parse_ints(name, text):
     try:
-        images = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ParseError(f"target {text!r} must be comma-separated integers")
-    return images
+        raise ParseError(f"{name} {text!r} must be comma-separated integers")
 
 
 def cmd_solve(args):
@@ -244,7 +200,7 @@ def cmd_solve(args):
         raise ParseError("give at least one equation with -w WORD -t TARGET")
     if len(args.word) != len(args.target):
         raise ParseError("need exactly one -t TARGET per -w WORD")
-    targets = [_parse_target(t) for t in args.target]
+    targets = [_parse_ints("target", t) for t in args.target]
     sizes = {len(t) for t in targets}
     if len(sizes) != 1:
         raise ParseError("all targets must have the same length")
@@ -260,27 +216,11 @@ def cmd_solve(args):
             else None
         ),
     }
-
-    def lines(rep):
-        out = [
-            "command: solve",
-            f"ground size: {rep['ground_size']}",
-            f"result: {rep['result']}",
-        ]
-        if rep["witness"]:
-            out.append("a: " + ",".join(str(v) for v in rep["witness"]["a"]))
-            out.append("b: " + ",".join(str(v) for v in rep["witness"]["b"]))
-        return out
-
-    _emit(report, args.format, lines)
-    return 0 if assignment else 1
+    return report, 0 if assignment else 1
 
 
 def cmd_blocks(args):
-    try:
-        ground = [int(part) for part in args.ground.split(",")]
-    except ValueError:
-        raise ParseError(f"ground {args.ground!r} must be comma-separated integers")
+    ground = _parse_ints("ground", args.ground)
     perms = []
     for text in args.perm or ():
         try:
@@ -301,22 +241,13 @@ def cmd_blocks(args):
         "ground": sorted(ground),
         "blocks": [sorted(b) for b in partition],
     }
-
-    def lines(rep):
-        out = [
-            "command: blocks",
-            "ground: " + ", ".join(str(p) for p in rep["ground"]),
-        ]
-        for b in rep["blocks"]:
-            out.append("block: " + ", ".join(str(p) for p in b))
-        return out
-
-    _emit(report, args.format, lines)
-    return 0
+    return report, 0
 
 
-def _add_common(sub, family=True, min_bound=2):
-    if family:
+def _add_common(sub, func, min_bound=2):
+    """Route the subcommand to ``func`` and add ``--format``; with a
+    ``min_bound`` it also takes a family argument and ``--bound``."""
+    if min_bound is not None:
         sub.add_argument("family", help="builtin family name or path to a family JSON file")
         sub.add_argument(
             "--bound",
@@ -330,6 +261,7 @@ def _add_common(sub, family=True, min_bound=2):
         default="text",
         help="report format (default text)",
     )
+    sub.set_defaults(func=func, min_bound=min_bound)
 
 
 def build_parser():
@@ -341,26 +273,21 @@ def build_parser():
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     sub = subparsers.add_parser("closure", help="compute the closed submonoid of the first N words")
-    _add_common(sub, min_bound=1)
-    sub.set_defaults(func=cmd_closure, min_bound=1)
+    _add_common(sub, cmd_closure, min_bound=1)
 
     sub = subparsers.add_parser("check-thm", help="check the main sufficient condition")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_check_thm, min_bound=2)
+    _add_common(sub, cmd_check_thm)
 
     sub = subparsers.add_parser("check-cor", help="check the overlap-free condition")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_check_cor, min_bound=2)
+    _add_common(sub, cmd_check_cor)
 
     sub = subparsers.add_parser("decompose", help="prefix/middle/suffix split of each word")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_decompose, min_bound=2)
+    _add_common(sub, cmd_decompose)
 
     sub = subparsers.add_parser("witness", help="verify the constructed letter assignment")
-    _add_common(sub)
+    _add_common(sub, cmd_witness)
     sub.add_argument("--seed", type=int, default=0, help="seed for targets and samples")
     sub.add_argument("--samples", type=int, default=50, help="sampled states per word")
-    sub.set_defaults(func=cmd_witness, min_bound=2)
 
     sub = subparsers.add_parser("solve", help="solve word equations over a small map monoid")
     sub.add_argument("-w", "--word", action="append", default=[], help="equation word")
@@ -377,8 +304,7 @@ def build_parser():
         default=4,
         help="cap on the ground set size (default 4)",
     )
-    _add_common(sub, family=False)
-    sub.set_defaults(func=cmd_solve, min_bound=None)
+    _add_common(sub, cmd_solve, min_bound=None)
 
     sub = subparsers.add_parser("blocks", help="orbit partition of partial permutations")
     sub.add_argument("--ground", required=True, help="comma-separated points, e.g. 1,2,3,4")
@@ -388,8 +314,7 @@ def build_parser():
         default=[],
         help='partial permutation as JSON pairs, e.g. "[[1,2],[2,1]]"',
     )
-    _add_common(sub, family=False)
-    sub.set_defaults(func=cmd_blocks, min_bound=None)
+    _add_common(sub, cmd_blocks, min_bound=None)
 
     return parser
 
@@ -401,10 +326,12 @@ def main(argv=None):
         print(f"error: --bound must be at least {args.min_bound}", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        print(json.dumps(report) if args.format == "json" else render_text(report))
     except (UniseqError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

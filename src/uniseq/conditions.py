@@ -59,22 +59,14 @@ class Verdict:
         }
 
 
-def check_split(w, gens):
-    """True iff no cut pair covers ``w``: there is no split w = s t v with
-    both s t and t v members.  Equivalently, the longest member prefix
-    ends strictly before the earliest member suffix starts.  A true
-    verdict implies ``w`` itself is not a member.
-    """
-    check_word(w)
-    pre = prefix_members(gens, w)
-    suf = suffix_members(gens, w)
-    longest_prefix_end = max(i for i, ok in enumerate(pre) if ok)
-    earliest_suffix_start = min(i for i, ok in enumerate(suf) if ok)
-    return longest_prefix_end < earliest_suffix_start
-
-
 def decompose(w, gens, index):
-    """Longest-member-prefix / middle / longest-member-suffix split."""
+    """Longest-member-prefix / middle / longest-member-suffix split.
+
+    Raises SplitViolation when a cut pair covers ``w``: some split
+    w = s t v has both s t and t v members, so the longest member prefix
+    does not end strictly before the earliest member suffix starts.  In
+    particular a member ``w`` has no decomposition.
+    """
     check_word(w)
     pre = prefix_members(gens, w)
     suf = suffix_members(gens, w)
@@ -122,9 +114,9 @@ def analyze_family(family, bound):
     warnings = []
     decomps = []
     for n, w in enumerate(words, 1):
-        if check_split(w, gens):
+        try:
             decomps.append(decompose(w, gens, n))
-        else:
+        except SplitViolation:
             decomps.append(None)
             violations.append(Violation("split", (n,), (w,)))
     for n, dec in enumerate(decomps, 1):

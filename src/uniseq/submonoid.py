@@ -229,8 +229,10 @@ def closure(words):
         gens = irredundant_generators(pool)
     else:
         raise AssertionError("closure did not stabilize inside the subword pool")
+    # The last round adjoined only members, so the pool's irredundant
+    # generators are the current ones.
     return ClosureResult(
-        generators=irredundant_generators(pool),
+        generators=gens,
         rounds=tuple(rounds),
         pool=tuple(sorted(pool, key=word_key)),
         iterations=len(rounds),

@@ -31,6 +31,7 @@ from .conditions import Decomposition, analyze_family
 from .errors import (
     AlphabetError,
     AmbiguousCollapse,
+    CapExceeded,
     EmptyInput,
     HypothesisNotVerified,
     VerificationFailure,
@@ -142,24 +143,11 @@ def cell_to_str(cell):
     return cell.name if isinstance(cell, Atom) else cell
 
 
-def cell_from_str(text):
-    if text == "" or all(ch in "abAB" for ch in text):
-        return text
-    return Atom(text)
-
-
 def state_to_json(state):
     return {
         "tail": cell_to_str(state.tail),
         "entries": [cell_to_str(e) for e in state.entries],
     }
-
-
-def state_from_json(data):
-    return StackState(
-        cell_from_str(data["tail"]),
-        tuple(cell_from_str(e) for e in data["entries"]),
-    )
 
 
 def state_key(state):
@@ -354,9 +342,20 @@ def eval_hom(word, state, mode, ctx):
     return state
 
 
+# Largest sample ``sample_states`` draws: far below the 751,689 distinct
+# states the default pools form, so rejection sampling ends within a few
+# hundred thousand draws.
+MAX_SAMPLES = 100_000
+
+
 def sample_states(count, seed, atoms=DEFAULT_ATOMS, cell_words=DEFAULT_CELL_WORDS):
     """Deterministic sample of distinct states mixing atom and signed-word
-    cells at depths 0 through 4."""
+    cells at depths 0 through 4.  ``count`` must lie in 1..MAX_SAMPLES, and
+    custom pools must be able to form that many distinct states."""
+    if count < 1:
+        raise ValueError(f"need at least one sampled state, got {count}")
+    if count > MAX_SAMPLES:
+        raise CapExceeded(f"{count} sampled states exceeds the cap {MAX_SAMPLES}")
     rng = random.Random(f"states:{seed}")
     pool = list(atoms) + list(cell_words)
     seen = set()
@@ -432,14 +431,6 @@ class WitnessReport:
     @property
     def passed(self):
         return self.failure is None
-
-    def to_json(self):
-        return {
-            "bound": self.bound,
-            "samples": self.sample_count,
-            "checks": dict(self.checks),
-            "failure": self.failure,
-        }
 
 
 def verify_witness(family, bound, targets, samples):

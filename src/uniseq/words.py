@@ -7,10 +7,6 @@ concatenation and counts as a prefix, suffix and subword of every word.
 from .errors import AlphabetError
 
 ALPHABET = "ab"
-EMPTY = ""
-
-RELATION_KINDS = ("prefix", "proper-prefix", "suffix", "proper-suffix", "subword")
-FACTOR_KINDS = ("prefixes", "suffixes", "subwords")
 
 
 def check_word(w):
@@ -26,50 +22,3 @@ def check_word(w):
 def word_key(w):
     """Sort key giving the (length, lexicographic) order used in reports."""
     return (len(w), w)
-
-
-def factor_relation(u, w, kind):
-    """Decide whether ``u`` stands in the named factor relation to ``w``.
-
-    >>> factor_relation("", "abaabb", "suffix")
-    True
-    >>> factor_relation("ab", "abaabb", "prefix")
-    True
-    >>> factor_relation("ab", "ab", "proper-prefix")
-    False
-    """
-    if kind == "prefix":
-        return w.startswith(u)
-    if kind == "proper-prefix":
-        return u != w and w.startswith(u)
-    if kind == "suffix":
-        return w.endswith(u)
-    if kind == "proper-suffix":
-        return u != w and w.endswith(u)
-    if kind == "subword":
-        return u in w
-    raise ValueError(f"unknown relation kind {kind!r}")
-
-
-def factors(w, kind, proper=False):
-    """All factors of ``w`` of the named kind, deduplicated and sorted by
-    (length, lexicographic).  Includes the empty word; excludes ``w``
-    itself when ``proper`` is set.
-
-    >>> factors("ab", "prefixes", proper=True)
-    ['', 'a']
-    >>> factors("aa", "subwords")
-    ['', 'a', 'aa']
-    """
-    if kind == "prefixes":
-        out = {w[:i] for i in range(len(w) + 1)}
-    elif kind == "suffixes":
-        out = {w[i:] for i in range(len(w) + 1)}
-    elif kind == "subwords":
-        out = {EMPTY}
-        out.update(w[i:j] for i in range(len(w)) for j in range(i + 1, len(w) + 1))
-    else:
-        raise ValueError(f"unknown factor kind {kind!r}")
-    if proper:
-        out.discard(w)
-    return sorted(out, key=word_key)

@@ -4,6 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from uniseq import cli
+from uniseq.witness import MAX_SAMPLES
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -17,6 +22,161 @@ def run_cli(*args):
         cwd=REPO,
         timeout=120,
     )
+
+
+POWERS = {"alphabet": "ab", "templates": [[{"pow": {"base": "ab", "c": 1, "d": 0}}]]}
+
+
+@pytest.fixture
+def powers_file(tmp_path):
+    """Family file for w_n = (ab)^n, which fails the split condition."""
+    path = tmp_path / "powers.json"
+    path.write_text(json.dumps(POWERS), encoding="utf-8")
+    return str(path)
+
+
+def run_main(capsys, *argv):
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def lines(*rows):
+    return "".join(row + "\n" for row in rows)
+
+
+def test_closure_text(capsys):
+    assert run_main(capsys, "closure", "alternating", "--bound", "3") == (0, lines(
+        "command: closure",
+        "family: alternating",
+        "bound: 3",
+        "generators: ab",
+        "iterations: 2",
+        "pool: '', ab",
+        "round 1 repeated: '', ab",
+        "round 1 cross: '', ab",
+        "round 2 repeated: '', ab",
+        "round 2 cross: '', ab",
+    ))
+
+
+def test_check_thm_text(capsys):
+    assert run_main(capsys, "check-thm", "alternating", "--bound", "3") == (0, lines(
+        "command: check-thm",
+        "family: alternating",
+        "bound: 3",
+        "verdict: holds",
+        "generators: ab",
+        "decomposition 1: prefix=ab middle=aababb suffix=ab",
+        "decomposition 2: prefix=ab middle=aabababb suffix=ab",
+        "decomposition 3: prefix=ab middle=aababababb suffix=ab",
+    ))
+
+
+def test_check_cor_text_holding_and_failing(capsys, powers_file):
+    assert run_main(capsys, "check-cor", "banach", "--bound", "3") == (0, lines(
+        "command: check-cor",
+        "family: banach",
+        "bound: 3",
+        "verdict: holds",
+    ))
+    assert run_main(capsys, "check-cor", powers_file, "--bound", "2") == (1, lines(
+        "command: check-cor",
+        f"family: {powers_file}",
+        "bound: 2",
+        "verdict: fails",
+        "violation subword at 1,2: ab",
+        "violation prefix-suffix-overlap at 2,1: ab",
+        "violation prefix-suffix-overlap at 2,2: ab",
+    ))
+
+
+def test_decompose_text(capsys):
+    assert run_main(capsys, "decompose", "alternating", "--bound", "2") == (0, lines(
+        "command: decompose",
+        "family: alternating",
+        "bound: 2",
+        "generators: ab",
+        "decomposition 1: prefix=ab middle=aababb suffix=ab",
+        "decomposition 2: prefix=ab middle=aabababb suffix=ab",
+    ))
+
+
+def test_witness_text_pass(capsys):
+    argv = ("witness", "alternating", "--bound", "2", "--samples", "3", "--seed", "1")
+    assert run_main(capsys, *argv) == (0, lines(
+        "command: witness",
+        "family: alternating",
+        "bound: 2",
+        "samples: 3",
+        "seed: 1",
+        "verdict: pass",
+        "check target: 6",
+        "check append: 36",
+        "check agreement: 36",
+        "check stacking: 6",
+        "check firing_step: 6",
+    ))
+
+
+def test_witness_text_not_verified_lists_the_violations(capsys, powers_file):
+    argv = ("witness", powers_file, "--bound", "3", "--samples", "5")
+    assert run_main(capsys, *argv) == (1, lines(
+        "command: witness",
+        f"family: {powers_file}",
+        "bound: 3",
+        "samples: 5",
+        "seed: 0",
+        "verdict: not-verified",
+        "reason: family fails the side conditions at bound 3",
+        "violation split at 1: ab",
+        "violation split at 2: abab",
+        "violation split at 3: ababab",
+    ))
+
+
+def test_solve_text_sat_and_unsat(capsys):
+    assert run_main(capsys, "solve", "-w", "a", "-t", "1,0") == (0, lines(
+        "command: solve",
+        "ground size: 2",
+        "result: sat",
+        "a: 1,0",
+        "b: 0,0",
+    ))
+    assert run_main(capsys, "solve", "-w", "aa", "-t", "1,0") == (1, lines(
+        "command: solve",
+        "ground size: 2",
+        "result: unsat",
+    ))
+
+
+def test_blocks_text(capsys):
+    argv = ("blocks", "--ground", "1,2,3,4", "--perm", "[[1,2]]", "--perm", "[[3,3]]")
+    assert run_main(capsys, *argv) == (0, lines(
+        "command: blocks",
+        "ground: 1, 2, 3, 4",
+        "block: 1, 2",
+        "block: 3",
+        "block: 4",
+    ))
+
+
+def test_every_json_field_has_a_text_rendering(capsys, powers_file):
+    commands = [
+        ("closure", "alternating", "--bound", "3"),
+        ("check-thm", "alternating", "--bound", "3"),
+        ("check-thm", powers_file, "--bound", "2"),
+        ("check-cor", powers_file, "--bound", "2"),
+        ("decompose", powers_file, "--bound", "2"),
+        ("witness", "alternating", "--bound", "2", "--samples", "3"),
+        ("witness", powers_file, "--bound", "2", "--samples", "3"),
+        ("solve", "-w", "a", "-t", "1,0"),
+        ("solve", "-w", "aa", "-t", "1,0"),
+        ("blocks", "--ground", "1,2", "--perm", "[[1,2]]"),
+    ]
+    for argv in commands:
+        _, out = run_main(capsys, *argv, "--format", "json")
+        missing = set(json.loads(out)) - set(cli.TEXT_LINES)
+        assert not missing, (argv, missing)
 
 
 def test_closure_reports_generators_and_rounds():
@@ -40,11 +200,8 @@ def test_check_cor_holds_for_banach():
     assert "verdict: holds" in result.stdout
 
 
-def test_check_thm_fails_for_alternating_powers(tmp_path):
-    doc = {"alphabet": "ab", "templates": [[{"pow": {"base": "ab", "c": 1, "d": 0}}]]}
-    path = tmp_path / "powers.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    result = run_cli("check-thm", str(path), "--bound", "3", "--format", "json")
+def test_check_thm_fails_for_alternating_powers(powers_file):
+    result = run_cli("check-thm", powers_file, "--bound", "3", "--format", "json")
     assert result.returncode == 1
     payload = json.loads(result.stdout)
     assert payload["verdict"] == "fails"
@@ -116,6 +273,15 @@ def test_bad_exponent_file_is_a_usage_error(tmp_path):
     path.write_text(json.dumps(doc))
     result = run_cli("check-thm", str(path))
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("samples", [0, -5, MAX_SAMPLES + 1])
+def test_witness_sample_count_out_of_range_is_a_usage_error(capsys, samples):
+    code = cli.main(["witness", "banach", "--samples", str(samples)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_bound_below_two_is_rejected_for_checks():

@@ -7,7 +7,6 @@ from uniseq.conditions import (
     analyze_family,
     check_corollary,
     check_sandwich,
-    check_split,
     check_theorem,
     decompose,
 )
@@ -28,9 +27,10 @@ A_POWER_BA = SequenceFamily(((Power("a", 1, 0), Literal("ba")),))  # w_n = a^n b
 
 
 def test_check_split_small_cases():
-    assert check_split("abaababbab", ("ab",))
-    assert not check_split("ab", ("ab",))
-    assert check_split("abaabb", ())
+    assert decompose("abaababbab", ("ab",), 1).middle
+    with pytest.raises(SplitViolation):
+        decompose("ab", ("ab",), 1)
+    assert decompose("abaabb", (), 1).middle
 
 
 def test_decompose_small_cases():
@@ -54,11 +54,9 @@ word_st = st.text(alphabet="ab", min_size=1, max_size=8)
 def test_decompose_agrees_with_exhaustive_oracle(w, gens):
     prefix_end, suffix_start = decompose_oracle(w, gens)
     if prefix_end >= suffix_start:
-        assert not check_split(w, gens)
         with pytest.raises(SplitViolation):
             decompose(w, gens, 1)
     else:
-        assert check_split(w, gens)
         d = decompose(w, gens, 1)
         assert d.prefix == w[:prefix_end]
         assert d.suffix == w[suffix_start:]

@@ -1,52 +1,7 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from uniseq.errors import AlphabetError
-from uniseq.words import check_word, factor_relation, factors
-
-words_st = st.text(alphabet="ab", max_size=8)
-
-
-def test_empty_word_is_prefix_and_suffix_of_everything():
-    assert factor_relation("", "abaabb", "suffix")
-    assert factor_relation("", "abaabb", "prefix")
-    assert factor_relation("", "", "subword")
-
-
-def test_prefix_is_letterwise_comparison():
-    assert factor_relation("ab", "abaabb", "prefix")
-    assert not factor_relation("ba", "abaabb", "prefix")
-    assert not factor_relation("abaabba", "abaabb", "prefix")
-
-
-def test_subword_agrees_with_window_scan():
-    u, w = "aababb", "abaabababbab"
-    windows = {w[i:i + len(u)] for i in range(len(w) - len(u) + 1)}
-    assert u not in windows
-    assert not factor_relation(u, w, "subword")
-
-
-def test_proper_relations_exclude_equality():
-    assert not factor_relation("ab", "ab", "proper-prefix")
-    assert not factor_relation("ab", "ab", "proper-suffix")
-    assert factor_relation("a", "ab", "proper-prefix")
-    assert factor_relation("", "ab", "proper-suffix")
-
-
-def test_factor_enumeration_small_cases():
-    assert factors("ab", "prefixes", proper=True) == ["", "a"]
-    assert factors("aa", "subwords") == ["", "a", "aa"]
-    assert factors("abaabb", "suffixes", proper=True) == [
-        "", "b", "bb", "abb", "aabb", "baabb",
-    ]
-
-
-def test_unknown_kinds_rejected():
-    with pytest.raises(ValueError):
-        factor_relation("a", "ab", "infix")
-    with pytest.raises(ValueError):
-        factors("ab", "infixes")
+from uniseq.words import check_word
 
 
 def test_alphabet_validation():
@@ -54,36 +9,3 @@ def test_alphabet_validation():
         check_word("abc")
     with pytest.raises(AlphabetError):
         check_word(3)
-
-
-@given(words_st, words_st)
-def test_relation_matches_enumeration(u, w):
-    pairs = (
-        ("prefix", "prefixes", False),
-        ("suffix", "suffixes", False),
-        ("subword", "subwords", False),
-        ("proper-prefix", "prefixes", True),
-        ("proper-suffix", "suffixes", True),
-    )
-    for relation, kind, proper in pairs:
-        assert factor_relation(u, w, relation) == (u in factors(w, kind, proper))
-
-
-@given(words_st)
-def test_factor_counts(w):
-    assert len(factors(w, "prefixes")) == len(w) + 1
-    assert len(factors(w, "suffixes")) == len(w) + 1
-    assert len(factors(w, "subwords")) <= len(w) * (len(w) + 1) // 2 + 1
-
-
-@given(words_st, words_st)
-def test_reversal_symmetry(u, w):
-    assert factor_relation(u, w, "prefix") == factor_relation(u[::-1], w[::-1], "suffix")
-
-
-@given(words_st)
-def test_factor_lists_are_sorted_and_unique(w):
-    for kind in ("prefixes", "suffixes", "subwords"):
-        out = factors(w, kind)
-        assert len(out) == len(set(out))
-        assert out == sorted(out, key=lambda v: (len(v), v))
