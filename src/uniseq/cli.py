@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .actions import blocks, partial_perm
 from .conditions import analyze_family, check_corollary
-from .equations import solve
+from .equations import MAX_SET_SIZE, solve
 from .errors import (
     HypothesisNotVerified,
     ParseError,
@@ -302,7 +302,7 @@ def build_parser():
         "--max-set-size",
         type=int,
         default=4,
-        help="cap on the ground set size (default 4)",
+        help=f"cap on the ground set size (default 4, at most {MAX_SET_SIZE})",
     )
     _add_common(sub, cmd_solve, min_bound=None)
 

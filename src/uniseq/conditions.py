@@ -49,15 +49,6 @@ class Verdict:
     warnings: tuple[Violation, ...] = ()
     applicable: bool = True
 
-    def to_json(self):
-        return {
-            "holds": self.holds,
-            "bound": self.bound,
-            "violations": [v.to_json() for v in self.violations],
-            "warnings": [v.to_json() for v in self.warnings],
-            "applicable": self.applicable,
-        }
-
 
 def decompose(w, gens, index):
     """Longest-member-prefix / middle / longest-member-suffix split.

@@ -13,10 +13,9 @@ from .errors import CapExceeded
 from .words import check_word
 
 DEFAULT_CAP = 4
-
-
-def identity_map(size):
-    return tuple(range(size))
+# Hard limit on ``cap``: the search visits up to m^(2m) assignments, about
+# 10^7 at m = 5 and 2.2 * 10^9 at m = 6.
+MAX_SET_SIZE = 5
 
 
 def compose_maps(first, then):
@@ -56,8 +55,11 @@ def solve(words, targets, size, cap=DEFAULT_CAP):
 
     Enumerates assignments lexicographically; candidates for the letter a
     are pruned early against equations whose word uses only a, and every
-    returned assignment has passed the full equation list.
+    returned assignment has passed the full equation list.  ``cap`` may
+    not exceed MAX_SET_SIZE.
     """
+    if cap > MAX_SET_SIZE:
+        raise CapExceeded(f"set size cap {cap} exceeds the hard limit {MAX_SET_SIZE}")
     if size > cap:
         raise CapExceeded(f"ground size {size} exceeds the cap {cap}")
     if size < 1:

@@ -21,6 +21,15 @@ meeting the conditions; ambiguity raises an error instead of guessing.
 The family is assumed to be in the orientation where every word starts
 with a and ends with b.  Mirrored families can be handled by substituting
 a and b for each other first.
+
+Trust boundary: the public ``StackState(...)`` constructor validates every
+cell (reduced signed word or atom, signed-word innermost cell) and is what
+samples, seeded targets and user code go through.  The machine's own
+transitions (push, fold, fire, append) build their states through
+``_trusted``, which only canonicalizes: they start from valid states and
+produce cells that are valid by construction (a plain letter, or the
+product of reduced words), so re-checking every stored cell on each letter
+would cost O(depth) per letter for nothing.
 """
 
 import hashlib
@@ -130,6 +139,17 @@ class StackState:
         if not isinstance(innermost, str):
             raise ValueError("the innermost cell must be a signed word")
         object.__setattr__(self, "entries", entries)
+
+
+def _trusted(tail, entries):
+    """State built by a machine transition from valid cells: canonicalize
+    like ``StackState(...)`` but skip the per-cell validation."""
+    while entries and entries[0] == tail:
+        entries = entries[1:]
+    state = object.__new__(StackState)
+    object.__setattr__(state, "tail", tail)
+    object.__setattr__(state, "entries", entries)
+    return state
 
 
 def _cell_at(state, depth):
@@ -246,7 +266,7 @@ def _suffix_closure(keys):
 
 
 def _push(state, letter):
-    return StackState(state.tail, state.entries + (letter,))
+    return _trusted(state.tail, state.entries + (letter,))
 
 
 def _scan_matches(state, keys, tails):
@@ -276,7 +296,7 @@ def _collapse(state, depth, word):
     merged = gw_mul(_cell_at(state, depth), word)
     stored = len(state.entries)
     kept = state.entries[: stored - 1 - depth] if depth < stored else ()
-    return StackState(state.tail, kept + (merged,))
+    return _trusted(state.tail, kept + (merged,))
 
 
 def _append_innermost(state, word):
@@ -284,11 +304,8 @@ def _append_innermost(state, word):
     if not word:
         return state
     if state.entries:
-        return StackState(
-            state.tail,
-            state.entries[:-1] + (gw_mul(state.entries[-1], word),),
-        )
-    return StackState(state.tail, (gw_mul(state.tail, word),))
+        return _trusted(state.tail, state.entries[:-1] + (gw_mul(state.entries[-1], word),))
+    return _trusted(state.tail, (gw_mul(state.tail, word),))
 
 
 def collapse_generator(state, ctx):

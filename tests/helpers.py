@@ -2,13 +2,17 @@
 
 Everything here deliberately uses a different algorithm than the code
 under test: breadth-first product enumeration instead of word-break
-dynamic programming, union-find instead of graph search, and unpruned
-exhaustion instead of the pruned solver.
+dynamic programming, union-find instead of graph search, unpruned
+exhaustion instead of the pruned solver, and a witness machine whose every
+transition goes through the validating ``StackState(...)`` constructor
+instead of the machine's trusted one.
 """
 
 from itertools import product
 
 from uniseq.equations import evaluate
+from uniseq.errors import AmbiguousCollapse
+from uniseq.witness import TARGETED, StackState, _cell_at, _scan_matches, gw_inv, gw_mul
 
 
 def submonoid_members(generators, max_len):
@@ -72,3 +76,49 @@ def brute_solve(words, targets, size):
             if all(evaluate(w, assignment) == t for w, t in zip(words, targets)):
                 return assignment
     return None
+
+
+def _collapse_reference(state, depth, word):
+    merged = gw_mul(_cell_at(state, depth), word)
+    stored = len(state.entries)
+    kept = state.entries[: stored - 1 - depth] if depth < stored else ()
+    return StackState(state.tail, kept + (merged,))
+
+
+def _append_reference(state, word):
+    if not word:
+        return state
+    if state.entries:
+        return StackState(
+            state.tail, state.entries[:-1] + (gw_mul(state.entries[-1], word),)
+        )
+    return StackState(state.tail, (gw_mul(state.tail, word),))
+
+
+def _unique_match(state, keys, tails):
+    matches = _scan_matches(state, keys, tails)
+    if len(matches) > 1:
+        raise AmbiguousCollapse(f"overlapping matches: {matches}")
+    return matches[0] if matches else None
+
+
+def eval_hom_reference(word, state, mode, ctx):
+    """``witness.eval_hom`` with every state re-validated: each push, fold,
+    firing and append builds its result through ``StackState(...)``."""
+    for ch in word:
+        state = StackState(state.tail, state.entries + (ch,))
+        if ch != "b":
+            continue
+        match = _unique_match(state, ctx._gen_keys, ctx._gen_tails)
+        if match:
+            state = _collapse_reference(state, *match)
+        if mode != TARGETED:
+            continue
+        match = _unique_match(state, ctx._middle_map, ctx._middle_tails)
+        if match:
+            depth, middle = match
+            dec = ctx._middle_map[middle]
+            unwound = _collapse_reference(state, depth, gw_inv(dec.prefix))
+            mapped = ctx.targets[dec.index - 1](unwound)
+            state = _append_reference(mapped, gw_inv(dec.suffix))
+    return state

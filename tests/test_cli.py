@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from uniseq import cli
+from uniseq.equations import MAX_SET_SIZE
 from uniseq.witness import MAX_SAMPLES
 
 REPO = Path(__file__).resolve().parent.parent
@@ -282,6 +283,14 @@ def test_witness_sample_count_out_of_range_is_a_usage_error(capsys, samples):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_max_set_size_above_the_hard_limit_is_a_usage_error(capsys):
+    code = cli.main(["solve", "-w", "a", "-t", "0", "--max-set-size", str(MAX_SET_SIZE + 1)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "exceeds the hard limit" in err
 
 
 def test_bound_below_two_is_rejected_for_checks():

@@ -139,11 +139,10 @@ def test_sandwich_flags_misoriented_words_and_generators():
 
 def test_verdict_serialization_shape():
     verdict = check_theorem(ALTERNATING, 3)
-    data = verdict.to_json()
-    assert data["holds"] is True
-    assert data["bound"] == 3
-    assert data["violations"] == []
-    assert data["applicable"] is True
+    assert verdict.holds is True
+    assert verdict.bound == 3
+    assert verdict.violations == ()
+    assert verdict.applicable is True
 
 
 def test_bound_must_be_at_least_two():

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_solve
-from uniseq.equations import all_maps, compose_maps, evaluate, identity_map, solve
+from uniseq.equations import MAX_SET_SIZE, all_maps, compose_maps, evaluate, solve
 from uniseq.errors import CapExceeded
 
 IDENT2 = (0, 1)
@@ -47,6 +47,9 @@ def test_two_letter_word_is_satisfiable_on_three_points():
 def test_cap_and_input_validation():
     with pytest.raises(CapExceeded):
         solve(["a"], [tuple(range(5))], 5)
+    # A one-point system: without the check this would be a trivial search.
+    with pytest.raises(CapExceeded):
+        solve(["a"], [(0,)], 1, cap=MAX_SET_SIZE + 1)
     with pytest.raises(ValueError):
         solve(["a"], [(0, 1), (1, 0)], 2)
     with pytest.raises(ValueError):
@@ -79,7 +82,3 @@ def test_solutions_satisfy_every_equation(words, size, rng):
     if assignment is not None:
         for w, t in zip(words, targets):
             assert evaluate(w, assignment) == t
-
-
-def test_identity_map_shape():
-    assert identity_map(3) == (0, 1, 2)
