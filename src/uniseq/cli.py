@@ -18,7 +18,7 @@ from .errors import (
     UniseqError,
     VerificationFailure,
 )
-from .families import BUILTIN_FAMILIES, instantiate_many, load_family
+from .families import BUILTIN_FAMILIES, MAX_BOUND, instantiate_many, load_family
 from .submonoid import closure
 from .witness import sample_states, seeded_targets, verify_witness
 
@@ -84,6 +84,7 @@ TEXT_LINES = {
         for d in decomps
     ],
     "checks": lambda checks: [f"check {name}: {count}" for name, count in checks.items()],
+    "not_applicable": lambda names: ["not applicable: " + ", ".join(names)],
     "failure": lambda failure: [f"failure: {json.dumps(failure)}"],
     "reason": _line("reason"),
     "witness": lambda assignment: [
@@ -185,6 +186,8 @@ def cmd_witness(args):
             report.update(checks=dict(exc.report.checks), failure=exc.report.failure)
         return report, 1
     report.update(verdict="pass", checks=dict(result.checks), failure=None)
+    if result.not_applicable:
+        report["not_applicable"] = list(result.not_applicable)
     return report, 0
 
 
@@ -253,7 +256,7 @@ def _add_common(sub, func, min_bound=2):
             "--bound",
             type=int,
             default=8,
-            help=f"number of family words to check (default 8, minimum {min_bound})",
+            help=f"number of family words to check (default 8, {min_bound} to {MAX_BOUND})",
         )
     sub.add_argument(
         "--format",

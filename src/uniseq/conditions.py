@@ -4,12 +4,13 @@ All family-level verdicts are computed from the first N instantiated words
 and carry that bound; they never claim anything about larger indices.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import EmptyInput, SplitViolation
 from .families import instantiate_many
 from .submonoid import ClosureResult, closure, member, prefix_members, suffix_members
-from .words import check_word
+from .words import Automaton, check_word
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,8 @@ def decompose(w, gens, index):
     check_word(w)
     pre = prefix_members(gens, w)
     suf = suffix_members(gens, w)
-    longest_prefix_end = max(i for i, ok in enumerate(pre) if ok)
-    earliest_suffix_start = min(i for i, ok in enumerate(suf) if ok)
+    longest_prefix_end = len(w) - pre[::-1].index(True)
+    earliest_suffix_start = suf.index(True)
     if longest_prefix_end >= earliest_suffix_start:
         raise SplitViolation(
             f"word {index}: member prefix and suffix overlap or cover the word"
@@ -142,23 +143,71 @@ def check_corollary(family, bound):
 
     The empty prefix is excluded; it is a suffix of everything and would
     make the condition vacuous.
+
+    One Aho-Corasick automaton holds all N words.  Running w_m through it
+    meets, at each position, the nodes of every word ending there (a
+    subword), and the failure chain from the final node lists every suffix
+    of w_m that is a prefix of some word.  Taken shortest first, a chain
+    suffix s is the witness for every word that properly extends s and no
+    shorter chain suffix; those words form one range of the sorted word
+    list, which is either wholly claimed by a shorter suffix already or not
+    at all.  Violations come out in (n, m) order, an overlap before a
+    subword.  With L the total word length and V the violation count, this
+    costs O(L + N^2 + V log V) steps plus two binary searches per chain
+    suffix, instead of trying every prefix length of every pair.
     """
     if bound < 2:
         raise ValueError("family checks need a bound of at least 2")
     words = instantiate_many(family, bound)
-    violations = []
-    for n, wn in enumerate(words, 1):
-        for m, wm in enumerate(words, 1):
-            for length in range(1, len(wn)):
-                prefix = wn[:length]
-                if wm.endswith(prefix):
-                    violations.append(
-                        Violation("prefix-suffix-overlap", (n, m), (prefix,))
-                    )
-                    break
-            if n != m and wn in wm:
-                violations.append(Violation("subword", (n, m), (wn,)))
-    return Verdict(not violations, bound, tuple(violations))
+    automaton = Automaton()
+    ending = {}
+    for n, w in enumerate(words):
+        ending.setdefault(automaton.add(w, n), []).append(n)
+    automaton.close()
+    step, fail, depth = automaton.step, automaton.fail, automaton.depth
+    # nearest[k]: the first node on k's failure chain, k included, where a
+    # word ends (0 if none).
+    nearest = [0] * len(depth)
+    for k in ending:
+        nearest[k] = k
+    for k in automaton.order:
+        if not nearest[k]:
+            nearest[k] = nearest[fail[k]]
+    by_text = sorted(range(len(words)), key=words.__getitem__)
+    sorted_words = [words[k] for k in by_text]
+    found = []
+    met = [-1] * len(depth)
+    for m, wm in enumerate(words):
+        node = 0
+        for letter in wm:
+            node = step[letter][node]
+            k = nearest[node]
+            while k and met[k] != m:
+                met[k] = m
+                found.extend((n, m, 1, words[n]) for n in ending[k] if n != m)
+                k = nearest[fail[k]]
+        chain = []
+        while node:
+            chain.append(depth[node])
+            node = fail[node]
+        claimed = bytearray(len(words))
+        for d in reversed(chain):
+            piece = wm[len(wm) - d:]
+            # "c" sorts after both letters, so the words longer than piece
+            # that start with it lie between these two positions.
+            lo = bisect_right(sorted_words, piece)
+            hi = bisect_left(sorted_words, piece + "c", lo)
+            if lo < hi and not claimed[lo]:
+                claimed[lo:hi] = b"\1" * (hi - lo)
+                found.extend((by_text[k], m, 0, piece) for k in range(lo, hi))
+    found.sort()
+    violations = tuple(
+        Violation(
+            "subword" if kind else "prefix-suffix-overlap", (n + 1, m + 1), (witness,)
+        )
+        for n, m, kind, witness in found
+    )
+    return Verdict(not violations, bound, violations)
 
 
 def check_sandwich(gens, words):

@@ -57,7 +57,7 @@ class VerificationFailure(UniseqError):
 
 
 class CapExceeded(UniseqError, ValueError):
-    """Requested ground set size exceeds the configured search cap."""
+    """A requested size (ground set, sample count, bound) exceeds its cap."""
 
 
 class BlocksInvalid(UniseqError, ValueError):

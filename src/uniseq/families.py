@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .errors import (
     AlphabetError,
+    CapExceeded,
     IndexOutOfRange,
     MissingLetterImage,
     ParseError,
@@ -106,8 +107,17 @@ def instantiate(family, index):
     return "".join(pieces)
 
 
+# Hard limit on the number of words a bounded check instantiates.  Word
+# lengths grow with the index (the sierpinski word 1000 has about 6,000
+# letters), and closure builds an automaton over all their letters.
+MAX_BOUND = 1000
+
+
 def instantiate_many(family, bound):
-    """The first ``bound`` words of the family."""
+    """The first ``bound`` words of the family; ``bound`` may not exceed
+    MAX_BOUND."""
+    if bound > MAX_BOUND:
+        raise CapExceeded(f"bound {bound} exceeds the cap {MAX_BOUND}")
     return [instantiate(family, n) for n in range(1, bound + 1)]
 
 

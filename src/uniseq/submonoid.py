@@ -14,9 +14,10 @@ is decided by word-break dynamic programming over prefixes.
 """
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import EmptyInput
-from .words import check_word, word_key
+from .words import Automaton, check_word, word_key
 
 
 @dataclass(frozen=True)
@@ -73,32 +74,30 @@ def _as_words(gens):
 
 
 def prefix_members(gens, w):
-    """Table t with t[i] true iff the length-i prefix of ``w`` is a member."""
+    """Table t with t[i] true iff the length-i prefix of ``w`` is a member.
+
+    The dynamic programming runs forward over member prefix ends only: at
+    each, in increasing order, every generator occurring there marks the
+    end it reaches, and ``list.index`` skips to the next marked end.
+    """
     gen_words = _as_words(gens)
     ok = [False] * (len(w) + 1)
     ok[0] = True
-    for i in range(1, len(w) + 1):
-        for g in gen_words:
-            L = len(g)
-            if L <= i and ok[i - L] and w.startswith(g, i - L):
-                ok[i] = True
-                break
-    return ok
+    i = 0
+    try:
+        while True:
+            for g in gen_words:
+                if w.startswith(g, i):
+                    ok[i + len(g)] = True
+            i = ok.index(True, i + 1)
+    except ValueError:
+        return ok
 
 
 def suffix_members(gens, w):
-    """Table t with t[i] true iff the suffix of ``w`` starting at i is a member."""
-    gen_words = _as_words(gens)
-    n = len(w)
-    ok = [False] * (n + 1)
-    ok[n] = True
-    for i in range(n - 1, -1, -1):
-        for g in gen_words:
-            L = len(g)
-            if i + L <= n and ok[i + L] and w.startswith(g, i):
-                ok[i] = True
-                break
-    return ok
+    """Table t with t[i] true iff the suffix of ``w`` starting at i is a
+    member: the prefix table of the mirrored word and generators, mirrored."""
+    return prefix_members([g[::-1] for g in _as_words(gens)], w[::-1])[::-1]
 
 
 def member(gens, w):
@@ -150,8 +149,8 @@ def repeated_factors(gens, words):
     for w in words:
         pre = prefix_members(gens, w)
         suf = suffix_members(gens, w)
-        starts = [i for i, m in enumerate(pre) if m]
-        ends = [l for l, m in enumerate(suf) if m]
+        starts = list(compress(range(len(pre)), pre))
+        ends = list(compress(range(len(suf)), suf))
         for i in starts:
             for l in ends:
                 for m in range(1, (l - i) // 2 + 1):
@@ -164,21 +163,41 @@ def cross_factors(gens, words):
     """All pieces following a member prefix in one word and preceding a
     member suffix in a different word (distinct indices; repeated input
     words count separately).  The empty word always qualifies.
+
+    One Aho-Corasick automaton holds w_i[p:] for every word w_i and every
+    p where w_i[:p] is a member; each node is labelled with the index i
+    that inserted it, or ``SHARED`` once a second index has passed.  Each
+    w_j is run through it once.  At every u where w_j[u:] is a member, the
+    failure chain from the current node lists each suffix of w_j[:u] that
+    follows a member prefix in some word, and those on nodes not owned by
+    j alone are cross factors.  A node already visited for w_j had its
+    whole chain visited, so the walk stops there.  With P the total length
+    of the inserted pieces, this costs O(P) to build, O(sum of word
+    lengths) to run, and at most one visit per node and word on the chains;
+    no substring sets are built and no pairs of words are intersected.
     """
-    out = {""}
-    after_prefix = []
-    before_suffix = []
-    for w in words:
+    automaton = Automaton()
+    suffix_tables = []
+    for i, w in enumerate(words):
         pre = prefix_members(gens, w)
-        suf = suffix_members(gens, w)
-        starts = [p for p, m in enumerate(pre) if m]
-        ends = [u for u, m in enumerate(suf) if m]
-        after_prefix.append({w[p:q] for p in starts for q in range(p, len(w) + 1)})
-        before_suffix.append({w[r:u] for u in ends for r in range(u + 1)})
-    for i in range(len(words)):
-        for j in range(len(words)):
-            if i != j:
-                out |= after_prefix[i] & before_suffix[j]
+        for p in compress(range(len(w)), pre):
+            automaton.add(w, i, p)
+        suffix_tables.append(suffix_members(gens, w))
+    automaton.close()
+    step, fail, depth, owner = automaton.step, automaton.fail, automaton.depth, automaton.owner
+    visited = [-1] * len(depth)
+    out = {""}
+    for j, (w, suf) in enumerate(zip(words, suffix_tables)):
+        node = 0
+        for u, letter in enumerate(w, 1):
+            node = step[letter][node]
+            if suf[u]:
+                v = node
+                while v and visited[v] != j:
+                    visited[v] = j
+                    if owner[v] != j:
+                        out.add(w[u - depth[v]:u])
+                    v = fail[v]
     return out
 
 
@@ -226,11 +245,13 @@ def closure(words):
         fresh = [v for v in rep | cro if v and not member(gens, v)]
         if not fresh:
             break
-        gens = irredundant_generators(pool)
+        # Every earlier pool word is a product of the current generators,
+        # so these and the fresh words generate what the whole pool does,
+        # and both reduce to its unique irredundant generators: the
+        # indecomposable members, as in any submonoid of a free monoid.
+        gens = irredundant_generators(gens.generators + tuple(fresh))
     else:
         raise AssertionError("closure did not stabilize inside the subword pool")
-    # The last round adjoined only members, so the pool's irredundant
-    # generators are the current ones.
     return ClosureResult(
         generators=gens,
         rounds=tuple(rounds),

@@ -45,6 +45,7 @@ from .errors import (
     HypothesisNotVerified,
     VerificationFailure,
 )
+from .families import MAX_BOUND
 from .words import check_word, word_key
 
 BASE = "base"
@@ -225,7 +226,10 @@ class SeededTarget:
 
 
 def seeded_targets(seed, count):
-    """One seeded target per family index 1..count."""
+    """One seeded target per family index 1..count; ``count`` is a family
+    bound, so it may not exceed MAX_BOUND."""
+    if count > MAX_BOUND:
+        raise CapExceeded(f"bound {count} exceeds the cap {MAX_BOUND}")
     return tuple(SeededTarget(seed, n) for n in range(1, count + 1))
 
 
@@ -444,6 +448,7 @@ class WitnessReport:
     sample_count: int
     checks: dict
     failure: dict | None = None
+    not_applicable: tuple[str, ...] = ()
 
     @property
     def passed(self):
@@ -458,6 +463,8 @@ def verify_witness(family, bound, targets, samples):
     * append: in base mode every product of generators appends itself to
       the innermost cell, hence acts injectively on the sample;
     * agreement: base and targeted modes agree on generator products;
+      with no generators these two do not apply and the report's
+      ``not_applicable`` names them;
     * stacking: in base mode each middle piles up positive cells that
       concatenate back to it, leaving the state below untouched;
     * firing step: evaluating a middle in targeted mode equals the base
@@ -483,7 +490,11 @@ def verify_witness(family, bound, targets, samples):
     ctx = WitnessContext(
         analysis.closure.generators, analysis.decompositions, tuple(targets)[:bound]
     )
-    report = WitnessReport(bound, len(samples), {name: 0 for name in _CHECK_NAMES})
+    products = generator_products(ctx.generators)
+    report = WitnessReport(
+        bound, len(samples), {name: 0 for name in _CHECK_NAMES},
+        not_applicable=() if products else ("append", "agreement"),
+    )
 
     def fail(check, index, state, got, expected):
         report.failure = {
@@ -506,7 +517,6 @@ def verify_witness(family, bound, targets, samples):
                 fail("target", n, x, got, expected)
             report.checks["target"] += 1
 
-    products = generator_products(ctx.generators)
     for v in products:
         outputs = set()
         for x in samples:

@@ -3,15 +3,30 @@
 Everything here deliberately uses a different algorithm than the code
 under test: breadth-first product enumeration instead of word-break
 dynamic programming, union-find instead of graph search, unpruned
-exhaustion instead of the pruned solver, and a witness machine whose every
-transition goes through the validating ``StackState(...)`` constructor
-instead of the machine's trusted one.
+exhaustion instead of the pruned solver, pairwise substring sets and
+prefix-length scans instead of the Aho-Corasick string kernels, a closure
+that rebuilds its generators from the whole pool every round, and a
+witness machine whose every transition goes through the validating
+``StackState(...)`` constructor instead of the machine's trusted one.
 """
 
 from itertools import product
 
+from uniseq.conditions import Verdict, Violation
 from uniseq.equations import evaluate
 from uniseq.errors import AmbiguousCollapse
+from uniseq.families import instantiate_many
+from uniseq.submonoid import (
+    ClosureResult,
+    GeneratorSet,
+    Round,
+    irredundant_generators,
+    member,
+    prefix_members,
+    repeated_factors,
+    suffix_members,
+)
+from uniseq.words import word_key
 from uniseq.witness import TARGETED, StackState, _cell_at, _scan_matches, gw_inv, gw_mul
 
 
@@ -38,6 +53,70 @@ def decompose_oracle(w, generators):
     prefix_end = max(i for i in range(len(w) + 1) if w[:i] in members)
     suffix_start = min(i for i in range(len(w) + 1) if w[i:] in members)
     return prefix_end, suffix_start
+
+
+def cross_factors_reference(gens, words):
+    """``submonoid.cross_factors`` by intersecting, for every ordered pair
+    of distinct indices, the set of pieces after a member prefix of one
+    word with the set of pieces before a member suffix of the other."""
+    out = {""}
+    after_prefix = []
+    before_suffix = []
+    for w in words:
+        pre = prefix_members(gens, w)
+        suf = suffix_members(gens, w)
+        starts = [p for p, m in enumerate(pre) if m]
+        ends = [u for u, m in enumerate(suf) if m]
+        after_prefix.append({w[p:q] for p in starts for q in range(p, len(w) + 1)})
+        before_suffix.append({w[r:u] for u in ends for r in range(u + 1)})
+    for i in range(len(words)):
+        for j in range(len(words)):
+            if i != j:
+                out |= after_prefix[i] & before_suffix[j]
+    return out
+
+
+def check_corollary_reference(family, bound):
+    """``conditions.check_corollary`` by trying every prefix length of
+    every ordered pair of words."""
+    if bound < 2:
+        raise ValueError("family checks need a bound of at least 2")
+    words = instantiate_many(family, bound)
+    violations = []
+    for n, wn in enumerate(words, 1):
+        for m, wm in enumerate(words, 1):
+            for length in range(1, len(wn)):
+                prefix = wn[:length]
+                if wm.endswith(prefix):
+                    violations.append(
+                        Violation("prefix-suffix-overlap", (n, m), (prefix,))
+                    )
+                    break
+            if n != m and wn in wm:
+                violations.append(Violation("subword", (n, m), (wn,)))
+    return Verdict(not violations, bound, tuple(violations))
+
+
+def closure_reference(words):
+    """``submonoid.closure`` with the reference cross factors, rebuilding
+    the irredundant generators from the whole pool every round."""
+    guard = sum(len(w) * (len(w) + 1) // 2 for w in words) + 2
+    pool = set()
+    gens = GeneratorSet()
+    rounds = []
+    for _ in range(guard):
+        rep = repeated_factors(gens, words)
+        cro = cross_factors_reference(gens, words)
+        rounds.append(
+            Round(tuple(sorted(rep, key=word_key)), tuple(sorted(cro, key=word_key)))
+        )
+        pool |= rep | cro
+        if all(member(gens, v) for v in rep | cro):
+            break
+        gens = irredundant_generators(pool)
+    else:
+        raise AssertionError("closure did not stabilize inside the subword pool")
+    return ClosureResult(gens, tuple(rounds), tuple(sorted(pool, key=word_key)), len(rounds))
 
 
 class UnionFind:

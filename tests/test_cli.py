@@ -8,6 +8,7 @@ import pytest
 
 from uniseq import cli
 from uniseq.equations import MAX_SET_SIZE
+from uniseq.families import MAX_BOUND
 from uniseq.witness import MAX_SAMPLES
 
 REPO = Path(__file__).resolve().parent.parent
@@ -119,6 +120,29 @@ def test_witness_text_pass(capsys):
     ))
 
 
+def test_witness_without_generators_names_the_checks_that_do_not_apply(capsys):
+    argv = ("witness", "banach", "--bound", "2", "--samples", "3")
+    assert run_main(capsys, *argv) == (0, lines(
+        "command: witness",
+        "family: banach",
+        "bound: 2",
+        "samples: 3",
+        "seed: 0",
+        "verdict: pass",
+        "check target: 6",
+        "check append: 0",
+        "check agreement: 0",
+        "check stacking: 6",
+        "check firing_step: 6",
+        "not applicable: append, agreement",
+    ))
+    code, out = run_main(capsys, *argv, "--format", "json")
+    assert json.loads(out)["not_applicable"] == ["append", "agreement"]
+    code, out = run_main(capsys, "witness", "alternating", "--bound", "2", "--samples", "3",
+                         "--format", "json")
+    assert "not_applicable" not in json.loads(out)
+
+
 def test_witness_text_not_verified_lists_the_violations(capsys, powers_file):
     argv = ("witness", powers_file, "--bound", "3", "--samples", "5")
     assert run_main(capsys, *argv) == (1, lines(
@@ -169,6 +193,7 @@ def test_every_json_field_has_a_text_rendering(capsys, powers_file):
         ("check-cor", powers_file, "--bound", "2"),
         ("decompose", powers_file, "--bound", "2"),
         ("witness", "alternating", "--bound", "2", "--samples", "3"),
+        ("witness", "banach", "--bound", "2", "--samples", "3"),
         ("witness", powers_file, "--bound", "2", "--samples", "3"),
         ("solve", "-w", "a", "-t", "1,0"),
         ("solve", "-w", "aa", "-t", "1,0"),
@@ -291,6 +316,15 @@ def test_max_set_size_above_the_hard_limit_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "exceeds the hard limit" in err
+
+
+@pytest.mark.parametrize("command", ["closure", "check-cor", "witness"])
+def test_bound_above_the_cap_is_a_usage_error(capsys, command):
+    code = cli.main([command, "banach", "--bound", str(MAX_BOUND + 1)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bound {MAX_BOUND + 1} exceeds the cap {MAX_BOUND}\n"
 
 
 def test_bound_below_two_is_rejected_for_checks():

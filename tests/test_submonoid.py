@@ -12,8 +12,10 @@ from uniseq.submonoid import (
     factorize,
     irredundant_generators,
     member,
+    prefix_members,
     repeated_factors,
     satisfies_conditions,
+    suffix_members,
 )
 
 words_st = st.text(alphabet="ab", min_size=1, max_size=5)
@@ -37,6 +39,13 @@ def test_factorization_prefers_longest_generator():
 @given(gens_st, words_st)
 def test_membership_agrees_with_product_enumeration(gens, w):
     assert member(gens, w) == (w in submonoid_members(gens, len(w)))
+
+
+@given(gens_st, st.text(alphabet="ab", max_size=8))
+def test_member_tables_agree_with_product_enumeration(gens, w):
+    members = submonoid_members(gens, len(w))
+    assert prefix_members(gens, w) == [w[:i] in members for i in range(len(w) + 1)]
+    assert suffix_members(gens, w) == [w[i:] in members for i in range(len(w) + 1)]
 
 
 @given(gens_st, st.lists(words_st, min_size=1, max_size=3))

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uniseq.errors import AlphabetError
-from uniseq.words import check_word
+from uniseq.words import SHARED, Automaton, check_word
+
+word_st = st.text(alphabet="ab", max_size=7)
 
 
 def test_alphabet_validation():
@@ -9,3 +13,32 @@ def test_alphabet_validation():
         check_word("abc")
     with pytest.raises(AlphabetError):
         check_word(3)
+    with pytest.raises(AlphabetError, match="'X'"):
+        check_word("abXcab")
+    assert check_word("") == ""
+
+
+@given(st.lists(word_st, max_size=4), word_st)
+def test_failure_chain_lists_the_suffixes_that_start_a_pattern(patterns, text):
+    automaton = Automaton()
+    ends = [automaton.add(p, k) for k, p in enumerate(patterns)]
+    automaton.close()
+    for k, p in enumerate(patterns):
+        assert automaton.depth[ends[k]] == len(p)
+    node = 0
+    for letter in text:
+        node = automaton.step[letter][node]
+    chain = []
+    while node:
+        chain.append(automaton.depth[node])
+        node = automaton.fail[node]
+    starts = {d for d in range(1, len(text) + 1) for p in patterns if p.startswith(text[-d:])}
+    assert chain == sorted(starts, reverse=True)
+
+
+def test_nodes_remember_one_label_until_a_second_passes():
+    automaton = Automaton()
+    ab = automaton.add("ab", 0)
+    abb = automaton.add("abb", 0)
+    a = automaton.add("ba", 1, start=1)
+    assert (automaton.owner[a], automaton.owner[ab], automaton.owner[abb]) == (SHARED, 0, 0)
