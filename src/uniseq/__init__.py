@@ -39,7 +39,6 @@ from .submonoid import (
     irredundant_generators,
     member,
     repeated_factors,
-    satisfies_conditions,
 )
 from .conditions import (
     Decomposition,

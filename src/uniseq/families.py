@@ -107,17 +107,49 @@ def instantiate(family, index):
     return "".join(pieces)
 
 
-# Hard limit on the number of words a bounded check instantiates.  Word
-# lengths grow with the index (the sierpinski word 1000 has about 6,000
-# letters), and closure builds an automaton over all their letters.
+# Hard limits on what a bounded check instantiates: the number of words,
+# and their total length, since exponents are unbounded and closure builds
+# an automaton over all the letters.  The builtins at MAX_BOUND stay below
+# MAX_LETTERS: sierpinski's first 1,000 words have 3,021,000 letters.
 MAX_BOUND = 1000
+MAX_LETTERS = 4_000_000
+
+
+def total_letters(family, bound):
+    """Total length of the first ``bound`` words, from the templates alone.
+
+    Word n of a template has length a + b * n, with a the letters of its
+    literals and constant exponents and b those of its exponent
+    coefficients, so an infinite family sums to a * N + b * N(N+1)/2.
+    """
+    def affine(template):
+        a = b = 0
+        for seg in template:
+            if isinstance(seg, Literal):
+                a += len(seg.word)
+            else:
+                a += len(seg.base) * seg.offset
+                b += len(seg.base) * seg.coeff
+        return a, b
+
+    if not family.finite:
+        a, b = affine(family.templates[0])
+        return a * bound + b * bound * (bound + 1) // 2
+    return sum(
+        a + b * n for n, (a, b) in enumerate(map(affine, family.templates[:bound]), 1)
+    )
 
 
 def instantiate_many(family, bound):
     """The first ``bound`` words of the family; ``bound`` may not exceed
-    MAX_BOUND."""
+    MAX_BOUND, nor their total length MAX_LETTERS."""
     if bound > MAX_BOUND:
         raise CapExceeded(f"bound {bound} exceeds the cap {MAX_BOUND}")
+    letters = total_letters(family, bound)
+    if letters > MAX_LETTERS:
+        raise CapExceeded(
+            f"the first {bound} words have {letters} letters, above the cap {MAX_LETTERS}"
+        )
     return [instantiate(family, n) for n in range(1, bound + 1)]
 
 

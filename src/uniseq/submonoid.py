@@ -10,9 +10,13 @@ repeatedly adjoins
 
 until nothing new appears.  Every adjoined piece is a subword of an input
 word, so the iteration stabilizes.  Membership in the generated submonoid
-is decided by word-break dynamic programming over prefixes.
+is decided by word-break dynamic programming over prefixes.  Each round
+tests its candidates in one batch: in reverse lexicographic order every
+candidate that is a prefix of another comes right after a word it is a
+prefix of, so one prefix table answers for a whole chain of prefixes.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 
@@ -144,19 +148,73 @@ def repeated_factors(gens, words):
 
     A piece v qualifies when some input word splits as s v u v s' with s
     and s' members and u arbitrary.  The empty word always qualifies.
+
+    Algorithm: for each member start i of a word w of length L, in
+    increasing order, and for m = 1, 2, ... while 2m <= L - i, the piece
+    v = w[i:i+m] qualifies when one of its occurrences at s >= i + m ends
+    at a member end s + m.  ``str.find`` gives the first such occurrence.
+
+    Stop rule: the search for i stops at the first m that has no such
+    occurrence.  An occurrence of a longer piece at s >= i + m + 1 contains
+    one of the shorter piece at s >= i + m, so no longer piece has one.
+
+    Each piece is decided once per word.  The occurrences it may use only
+    shrink as i grows, so its verdict holds for later starts.  A dict maps
+    each decided piece to its last occurrence (``str.rfind``), which
+    answers the stop rule when the piece comes again.  Pieces already in
+    the result are not decided again.
+
+    Guard: the later occurrences are walked until one ends at a member end,
+    but never more of them than there are member ends l >= i + 2m.  Past
+    that budget those ends are tested instead, with
+    ``str.startswith(v, l - m)``.  So many occurrences with few member ends
+    (a^k b^k over the generator a) cost as little as every position being
+    a member end (both letters generators), where the first occurrence
+    qualifies.
+
+    Cost: at most L^2/4 pairs (i, m) per word, each a slice and a dict
+    lookup; deciding a piece adds one ``find`` and ``rfind`` and at most
+    twice the shorter of the two lists above.  The triple loop this
+    replaces compared up to L^3/12 slice pairs per word.
     """
     out = {""}
     for w in words:
-        pre = prefix_members(gens, w)
+        n = len(w)
         suf = suffix_members(gens, w)
-        starts = list(compress(range(len(pre)), pre))
-        ends = list(compress(range(len(suf)), suf))
-        for i in starts:
-            for l in ends:
-                for m in range(1, (l - i) // 2 + 1):
-                    if w[i:i + m] == w[l - m:l]:
-                        out.add(w[i:i + m])
+        ends = list(compress(range(n + 1), suf))
+        last = {}  # pieces of w already decided -> their last occurrence
+        for i in compress(range(n + 1), prefix_members(gens, w)):
+            for m in range(1, (n - i) // 2 + 1):
+                v = w[i:i + m]
+                s = last.get(v)
+                if s is not None:
+                    if s < i + m:
+                        break
+                    continue
+                s = w.find(v, i + m)
+                if s < 0:
+                    break
+                last[v] = w.rfind(v)
+                if v not in out and (suf[s + m] or _later_member_end(
+                    w, v, s, suf, ends[bisect_left(ends, i + 2 * m):]
+                )):
+                    out.add(v)
     return out
+
+
+def _later_member_end(w, v, s, suf, ends):
+    """Does an occurrence of ``v`` after the one at s end at a member end?
+    ``ends`` lists the member ends such an occurrence can reach.  At most
+    len(ends) occurrences are walked; past that budget the ends are tested
+    instead."""
+    m = len(v)
+    for _ in ends:
+        s = w.find(v, s + 1)
+        if s < 0:
+            return False
+        if suf[s + m]:
+            return True
+    return any(w.startswith(v, l - m) for l in ends)
 
 
 def cross_factors(gens, words):
@@ -216,10 +274,19 @@ def irredundant_generators(pool):
     return GeneratorSet(tuple(chosen))
 
 
-def satisfies_conditions(gens, words):
-    """Fixed-point test: both extractions stay inside the submonoid."""
-    found = repeated_factors(gens, words) | cross_factors(gens, words)
-    return all(member(gens, v) for v in found)
+def _non_members(gens, words):
+    """The words that are not members, with one prefix table per chain of
+    prefixes.  In reverse lexicographic order, a word that is a prefix of
+    another is a prefix of the word just before it, and so of the last word
+    whose table was built; that table answers for it."""
+    out = []
+    head = None
+    for v in sorted(words, reverse=True):
+        if head is None or not head.startswith(v):
+            head, table = v, prefix_members(gens, v)
+        if not table[len(v)]:
+            out.append(v)
+    return out
 
 
 def closure(words):
@@ -242,7 +309,7 @@ def closure(words):
             Round(tuple(sorted(rep, key=word_key)), tuple(sorted(cro, key=word_key)))
         )
         pool |= rep | cro
-        fresh = [v for v in rep | cro if v and not member(gens, v)]
+        fresh = _non_members(gens, rep | cro)
         if not fresh:
             break
         # Every earlier pool word is a product of the current generators,

@@ -4,8 +4,10 @@ Everything here deliberately uses a different algorithm than the code
 under test: breadth-first product enumeration instead of word-break
 dynamic programming, union-find instead of graph search, unpruned
 exhaustion instead of the pruned solver, pairwise substring sets and
-prefix-length scans instead of the Aho-Corasick string kernels, a closure
-that rebuilds its generators from the whole pool every round, and a
+prefix-length scans instead of the Aho-Corasick string kernels, a triple
+loop over member starts, member ends and lengths instead of the occurrence
+search for repeated factors, a closure that rebuilds its generators from
+the whole pool every round and tests each candidate with ``member``, and a
 witness machine whose every transition goes through the validating
 ``StackState(...)`` constructor instead of the machine's trusted one.
 """
@@ -23,7 +25,6 @@ from uniseq.submonoid import (
     irredundant_generators,
     member,
     prefix_members,
-    repeated_factors,
     suffix_members,
 )
 from uniseq.words import word_key
@@ -53,6 +54,24 @@ def decompose_oracle(w, generators):
     prefix_end = max(i for i in range(len(w) + 1) if w[:i] in members)
     suffix_start = min(i for i in range(len(w) + 1) if w[i:] in members)
     return prefix_end, suffix_start
+
+
+def repeated_factors_reference(gens, words):
+    """``submonoid.repeated_factors`` by comparing, for every member start
+    i, every member end l and every length m with 2m <= l - i, the piece
+    at i with the piece ending at l."""
+    out = {""}
+    for w in words:
+        pre = prefix_members(gens, w)
+        suf = suffix_members(gens, w)
+        starts = [i for i, ok in enumerate(pre) if ok]
+        ends = [l for l, ok in enumerate(suf) if ok]
+        for i in starts:
+            for l in ends:
+                for m in range(1, (l - i) // 2 + 1):
+                    if w[i:i + m] == w[l - m:l]:
+                        out.add(w[i:i + m])
+    return out
 
 
 def cross_factors_reference(gens, words):
@@ -97,15 +116,23 @@ def check_corollary_reference(family, bound):
     return Verdict(not violations, bound, tuple(violations))
 
 
+def satisfies_conditions(gens, words):
+    """Fixed-point test of a closure, through the reference kernels: every
+    repeated and cross factor over ``words`` is a product of ``gens``."""
+    found = repeated_factors_reference(gens, words) | cross_factors_reference(gens, words)
+    return all(member(gens, v) for v in found)
+
+
 def closure_reference(words):
-    """``submonoid.closure`` with the reference cross factors, rebuilding
-    the irredundant generators from the whole pool every round."""
+    """``submonoid.closure`` with the reference repeated and cross factors,
+    testing every candidate with ``member`` and rebuilding the irredundant
+    generators from the whole pool every round."""
     guard = sum(len(w) * (len(w) + 1) // 2 for w in words) + 2
     pool = set()
     gens = GeneratorSet()
     rounds = []
     for _ in range(guard):
-        rep = repeated_factors(gens, words)
+        rep = repeated_factors_reference(gens, words)
         cro = cross_factors_reference(gens, words)
         rounds.append(
             Round(tuple(sorted(rep, key=word_key)), tuple(sorted(cro, key=word_key)))

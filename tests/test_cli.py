@@ -327,6 +327,19 @@ def test_bound_above_the_cap_is_a_usage_error(capsys, command):
     assert err == f"error: bound {MAX_BOUND + 1} exceeds the cap {MAX_BOUND}\n"
 
 
+@pytest.mark.parametrize("command", ["closure", "check-cor", "witness"])
+def test_family_longer_than_the_letter_cap_is_a_usage_error(capsys, tmp_path, command):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(
+        {"alphabet": "ab", "templates": [[{"pow": {"base": "ab", "c": 1000000, "d": 0}}]]}
+    ))
+    code = cli.main([command, str(path), "--bound", str(MAX_BOUND)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "letters" in err
+
+
 def test_bound_below_two_is_rejected_for_checks():
     result = run_cli("check-thm", "banach", "--bound", "1")
     assert result.returncode == 2

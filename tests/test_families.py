@@ -2,10 +2,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from uniseq.errors import IndexOutOfRange, MissingLetterImage, ParseError, UnsupportedAlphabet
+from uniseq import families
+from uniseq.errors import (
+    CapExceeded,
+    IndexOutOfRange,
+    MissingLetterImage,
+    ParseError,
+    UnsupportedAlphabet,
+)
 from uniseq.families import (
     ALTERNATING,
     BANACH,
+    BUILTIN_FAMILIES,
+    MAX_BOUND,
+    MAX_LETTERS,
     SIERPINSKI,
     Literal,
     Power,
@@ -16,6 +26,7 @@ from uniseq.families import (
     instantiate,
     instantiate_many,
     substitute,
+    total_letters,
 )
 
 
@@ -100,6 +111,43 @@ def test_word_lengths_never_shrink_with_the_index(n):
 
 def test_instantiate_many_counts():
     assert instantiate_many(BANACH, 4) == [instantiate(BANACH, n) for n in (1, 2, 3, 4)]
+
+
+def test_word_length_cap_is_checked_before_any_word_is_built(monkeypatch):
+    # Word 1000 alone would have 2 * 10^9 letters.
+    huge = SequenceFamily(((Power("ab", 1_000_000, 0),),))
+
+    def never(family, index):
+        raise AssertionError(f"word {index} was built")
+
+    monkeypatch.setattr(families, "instantiate", never)
+    with pytest.raises(CapExceeded, match="letters"):
+        instantiate_many(huge, 1000)
+    with pytest.raises(CapExceeded, match="letters"):
+        instantiate_many(SequenceFamily(((Literal("ab"),), (Power("a", 0, MAX_LETTERS),))), 2)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_FAMILIES))
+def test_every_builtin_fits_the_letter_cap_at_the_largest_bound(name):
+    assert total_letters(BUILTIN_FAMILIES[name], MAX_BOUND) <= MAX_LETTERS
+
+
+segments_st = st.lists(
+    st.one_of(
+        st.builds(Literal, st.text(alphabet="ab", max_size=3)),
+        st.builds(Power, st.text(alphabet="ab", min_size=1, max_size=3),
+                  st.integers(1, 3), st.integers(0, 3)),
+    ),
+    min_size=1, max_size=3,
+).filter(lambda t: any(isinstance(s, Power) or s.word for s in t))
+
+
+@given(st.lists(segments_st, min_size=1, max_size=3), st.booleans(), st.integers(1, 6))
+def test_total_letters_is_the_length_of_the_instantiated_words(templates, explicit, bound):
+    family = SequenceFamily(tuple(templates), explicit=explicit)
+    if family.finite:
+        bound = min(bound, len(templates))
+    assert total_letters(family, bound) == sum(map(len, instantiate_many(family, bound)))
 
 
 def test_json_round_trip():

@@ -1,5 +1,6 @@
-"""The Aho-Corasick string kernels and the incremental closure against the
-references they replaced, kept in ``helpers``."""
+"""The Aho-Corasick string kernels, the occurrence-search repeated factors
+and the incremental closure against the references they replaced, kept in
+``helpers``."""
 
 import json
 
@@ -7,11 +8,17 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from helpers import check_corollary_reference, closure_reference, cross_factors_reference
+from helpers import (
+    check_corollary_reference,
+    closure_reference,
+    cross_factors_reference,
+    repeated_factors_reference,
+    satisfies_conditions,
+)
 from uniseq import cli
 from uniseq.conditions import check_corollary
 from uniseq.families import BUILTIN_FAMILIES, explicit_family, instantiate_many
-from uniseq.submonoid import closure, cross_factors
+from uniseq.submonoid import closure, cross_factors, repeated_factors
 
 BUILTINS = sorted(BUILTIN_FAMILIES)
 
@@ -42,6 +49,54 @@ def word_lists(draw, min_size=1):
 
 
 gens_st = st.sets(st.text(alphabet="ab", min_size=1, max_size=3), max_size=3).map(tuple)
+# Half the draws add both letters, so that every position is a member
+# start and end, as in the last round of a closure that fails.
+both_letters_st = st.one_of(gens_st, gens_st.map(lambda g: g + ("a", "b")))
+
+
+@st.composite
+def shaped_word_lists(draw):
+    """A shape label and a word list: random words, the same plus a
+    periodic word such as (ab)^k, or a single a^k b^k."""
+    shape = draw(st.sampled_from(("random", "periodic", "a^k b^k")))
+    if shape == "a^k b^k":
+        k = draw(st.integers(1, 12))
+        return shape, ["a" * k + "b" * k]
+    words = draw(word_lists())
+    if shape == "periodic":
+        base = draw(st.text(alphabet="ab", min_size=1, max_size=3))
+        words.append(base * draw(st.integers(2, 8)))
+    return shape, words
+
+
+@st.composite
+def repeated_factor_inputs(draw):
+    """A shape label, generators and words; a^k b^k comes with the
+    generator a, so many occurrences of each piece miss its one member end."""
+    shape, words = draw(shaped_word_lists())
+    gens = ("a",) if shape == "a^k b^k" else draw(both_letters_st)
+    return shape, gens, words
+
+
+@settings(max_examples=200)
+@given(repeated_factor_inputs())
+def test_repeated_factors_match_the_triple_loop_reference(inputs):
+    shape, gens, words = inputs
+    event(shape)
+    if {"a", "b"} <= set(gens):
+        event("both letters are generators")
+    expected = repeated_factors_reference(gens, words)
+    event("some nonempty repeated factor" if len(expected) > 1 else "only the empty word")
+    assert repeated_factors(gens, words) == expected
+
+
+@pytest.mark.parametrize("k", [40, 120])
+def test_repeated_factors_with_one_member_end(k):
+    """a^k b^k over the generator a, longer than the drawn ones: every start
+    up to k is a member, the only member end is the word's end, and each
+    a^m has many occurrences that all miss it."""
+    words = ["a" * k + "b" * k]
+    assert repeated_factors(("a",), words) == repeated_factors_reference(("a",), words)
 
 
 @settings(max_examples=200)
@@ -62,11 +117,17 @@ def test_corollary_matches_the_prefix_scan_reference(words):
 
 
 @settings(max_examples=100)
-@given(word_lists())
-def test_closure_matches_the_full_pool_rebuild(words):
+@given(shaped_word_lists())
+def test_closure_matches_the_full_pool_rebuild(shaped):
+    shape, words = shaped
     expected = closure_reference(words)
+    event(shape)
     event(f"{expected.iterations} rounds")
-    assert closure(words) == expected
+    if expected.generators.generators[:2] == ("a", "b"):
+        event("ends with both letters as generators")
+    result = closure(words)
+    assert result == expected
+    assert satisfies_conditions(result.generators, words)
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -76,26 +137,42 @@ def test_kernels_match_the_references_on_the_builtins(name):
     assert check_corollary(family, 40) == check_corollary_reference(family, 40)
     for gens in ((), closure(words).generators):
         assert cross_factors(gens, words) == cross_factors_reference(gens, words)
+        assert repeated_factors(gens, words) == repeated_factors_reference(gens, words)
     assert closure(words) == closure_reference(words)
 
 
-def _outputs(capsys):
+# aaaba (ab)^(3n) baaab: its closure takes five rounds and ends with both
+# letters as generators, so the last round has every position a member.
+FAILING_FAMILY = {
+    "alphabet": "ab",
+    "templates": [[{"lit": "aaaba"}, {"pow": {"base": "ab", "c": 3, "d": 0}}, {"lit": "baaab"}]],
+}
+
+
+def _outputs(capsys, families):
     out = {}
-    for name in BUILTINS:
+    for name, bound in families:
         for command in ("closure", "check-thm", "decompose", "check-cor"):
             for fmt in ("text", "json"):
-                argv = (command, name, "--bound", "30", "--format", fmt)
+                argv = (command, name, "--bound", bound, "--format", fmt)
                 code = cli.main(list(argv))
                 out[argv] = (code, capsys.readouterr().out)
     return out
 
 
-def test_cli_output_is_identical_with_the_reference_kernels(capsys, monkeypatch):
-    fast = _outputs(capsys)
+def test_cli_output_is_identical_with_the_reference_kernels(capsys, monkeypatch, tmp_path):
+    failing = tmp_path / "failing.json"
+    failing.write_text(json.dumps(FAILING_FAMILY))
+    families = [(name, "30") for name in BUILTINS] + [(str(failing), "10")]
+    fast = _outputs(capsys, families)
     monkeypatch.setattr(cli, "closure", closure_reference)
     monkeypatch.setattr(cli, "check_corollary", check_corollary_reference)
     monkeypatch.setattr("uniseq.conditions.closure", closure_reference)
-    assert _outputs(capsys) == fast
+    assert _outputs(capsys, families) == fast
     # The matrix reaches overlap witnesses, not only holding verdicts.
     alternating = fast[("check-cor", "alternating", "--bound", "30", "--format", "json")]
     assert alternating[0] == 1 and json.loads(alternating[1])["violations"]
+    # ... and a closure whose last round has both letters as generators.
+    report = fast[("closure", str(failing), "--bound", "10", "--format", "json")][1]
+    assert json.loads(report)["generators"] == ["a", "b"]
+    assert fast[("check-thm", str(failing), "--bound", "10", "--format", "json")][0] == 1

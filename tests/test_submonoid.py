@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import submonoid_members
+from helpers import satisfies_conditions, submonoid_members
 from uniseq.errors import EmptyInput
 from uniseq.families import ALTERNATING, BANACH, instantiate_many
 from uniseq.submonoid import (
@@ -14,7 +14,6 @@ from uniseq.submonoid import (
     member,
     prefix_members,
     repeated_factors,
-    satisfies_conditions,
     suffix_members,
 )
 
