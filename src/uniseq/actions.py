@@ -3,16 +3,11 @@
 A partial permutation is an injective map between subsets of the ground
 set.  The blocks of a generator list are the connected components of the
 point graph whose arcs are generator (and inverse) applications; they
-partition the ground set.  Two blocks are equivalent when some bijection
-between them commutes with every generator, definedness included.  A
-block on which every generator restricts to a permutation can be lifted:
-the action extends over layer copies of the block without changing any
-generator's domain deficiency.
+partition the ground set.  ``blocks`` computes them for the CLI's
+``blocks`` command, an independent check on partial-permutation actions.
 """
 
 from dataclasses import dataclass
-
-from .errors import BlockNotClosed, BlocksInvalid
 
 
 def _point_key(p):
@@ -39,37 +34,10 @@ class PartialPerm:
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "pairs", pairs)
 
-    def mapping(self):
-        return dict(self.pairs)
-
-    def domain(self):
-        return frozenset(x for x, _ in self.pairs)
-
-    def image(self):
-        return frozenset(y for _, y in self.pairs)
-
 
 def partial_perm(mapping, ground):
     """Build a partial permutation from a point-to-point dict."""
     return PartialPerm(frozenset(ground), tuple(mapping.items()))
-
-
-def identity(ground):
-    return PartialPerm(frozenset(ground), tuple((p, p) for p in ground))
-
-
-def compose(f, g):
-    """Relational composition, f then g, on the points where both apply."""
-    if f.ground != g.ground:
-        raise ValueError("partial permutations live on different ground sets")
-    gm = g.mapping()
-    return PartialPerm(
-        f.ground, tuple((x, gm[y]) for x, y in f.pairs if y in gm)
-    )
-
-
-def invert(f):
-    return PartialPerm(f.ground, tuple((y, x) for x, y in f.pairs))
 
 
 def blocks(generators, ground):
@@ -100,100 +68,3 @@ def blocks(generators, ground):
         seen |= component
         out.append(frozenset(component))
     return out
-
-
-def block_equivalent(first, second, generators):
-    """A bijection between two blocks commuting with every generator, or
-    None when there is none.  Backtracking with local pruning; the final
-    assignment is verified against every generator in both directions."""
-    first = frozenset(first)
-    second = frozenset(second)
-    if not generators:
-        raise ValueError("need at least one generator")
-    ground = generators[0].ground
-    partition = blocks(generators, ground)
-    if first not in partition or second not in partition:
-        raise BlocksInvalid("both sets must be blocks of the given action")
-    if len(first) != len(second):
-        return None
-    arrows = []
-    for g in generators:
-        arrows.append(g.mapping())
-        arrows.append(invert(g).mapping())
-    points = sorted(first, key=_point_key)
-    candidates = sorted(second, key=_point_key)
-    assigned = {}
-    used = set()
-
-    def locally_consistent(u, v):
-        for arrow in arrows:
-            if (u in arrow) != (v in arrow):
-                return False
-            if u in arrow:
-                au, av = arrow[u], arrow[v]
-                if au in assigned and assigned[au] != av:
-                    return False
-        return True
-
-    def full_check():
-        for arrow in arrows:
-            for u in points:
-                if (u in arrow) != (assigned[u] in arrow):
-                    return False
-                if u in arrow and assigned[arrow[u]] != arrow[assigned[u]]:
-                    return False
-        return True
-
-    def search(k):
-        if k == len(points):
-            return full_check()
-        u = points[k]
-        for v in candidates:
-            if v in used or not locally_consistent(u, v):
-                continue
-            assigned[u] = v
-            used.add(v)
-            if search(k + 1):
-                return True
-            del assigned[u]
-            used.remove(v)
-        return False
-
-    return dict(assigned) if search(0) else None
-
-
-def lift(generators, block, layer):
-    """Extend every generator over layer copies of a block it permutes.
-
-    The new ground set adds a point (y, z) for every layer element y and
-    block point z; each generator moves (y, z) to (y, (z)g).  Every
-    generator must restrict to a permutation of the block, and the lift
-    leaves each generator's undefined set unchanged, which is verified.
-    """
-    if not generators:
-        raise ValueError("need at least one generator")
-    ground = generators[0].ground
-    block = frozenset(block)
-    layer = frozenset(layer)
-    for g in generators:
-        gm = g.mapping()
-        if not block <= g.domain() or {gm[z] for z in block} != block:
-            raise BlockNotClosed(
-                f"a generator does not restrict to a permutation of {sorted(block, key=_point_key)}"
-            )
-    added = {(y, z) for y in layer for z in block}
-    if added & ground:
-        raise ValueError("layer points collide with existing ground points")
-    new_ground = ground | added
-    lifted = []
-    for g in generators:
-        gm = g.mapping()
-        pairs = dict(g.pairs)
-        for y in layer:
-            for z in block:
-                pairs[(y, z)] = (y, gm[z])
-        t = partial_perm(pairs, new_ground)
-        if new_ground - t.domain() != ground - g.domain():
-            raise AssertionError("lift changed a generator's domain deficiency")
-        lifted.append(t)
-    return lifted

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .actions import blocks, partial_perm
 from .conditions import analyze_family, check_corollary
-from .equations import MAX_SET_SIZE, solve
+from .equations import DEFAULT_CAP, MAX_SET_SIZE, solve
 from .errors import (
     HypothesisNotVerified,
     ParseError,
@@ -235,7 +235,12 @@ def cmd_blocks(args):
         ):
             raise ParseError(f"perm {text!r} must be a list of [from, to] pairs")
         try:
-            perms.append(partial_perm({p[0]: p[1] for p in pairs}, ground))
+            mapping = dict(pairs)
+            if len(mapping) < len(pairs) and any(mapping[x] != y for x, y in pairs):
+                raise ValueError("a point has two images")
+            perms.append(partial_perm(mapping, ground))
+        except TypeError:
+            raise ParseError(f"perm {text!r}: points cannot be lists or objects")
         except ValueError as exc:
             raise ParseError(f"perm {text!r}: {exc}")
     partition = blocks(perms, ground)
@@ -304,8 +309,8 @@ def build_parser():
     sub.add_argument(
         "--max-set-size",
         type=int,
-        default=4,
-        help=f"cap on the ground set size (default 4, at most {MAX_SET_SIZE})",
+        default=DEFAULT_CAP,
+        help=f"cap on the ground set size (default {DEFAULT_CAP}, at most {MAX_SET_SIZE})",
     )
     _add_common(sub, cmd_solve, min_bound=None)
 

@@ -1,15 +1,19 @@
 """Bounded checks of the sufficient conditions a word family must meet.
 
-All family-level verdicts are computed from the first N instantiated words
-and carry that bound; they never claim anything about larger indices.
+``analyze_family`` checks the main condition (split-freeness and middle
+uniqueness over the longest-member-prefix/suffix decompositions) and keeps
+the words, closure and decompositions it computed; ``check_corollary``
+checks the stronger overlap-free condition.  All family-level verdicts are
+computed from the first N instantiated words and carry that bound; they
+never claim anything about larger indices.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .errors import EmptyInput, SplitViolation
+from .errors import SplitViolation
 from .families import instantiate_many
-from .submonoid import ClosureResult, closure, member, prefix_members, suffix_members
+from .submonoid import ClosureResult, closure, prefix_members, suffix_members
 from .words import Automaton, check_word
 
 
@@ -48,7 +52,6 @@ class Verdict:
     bound: int
     violations: tuple[Violation, ...] = ()
     warnings: tuple[Violation, ...] = ()
-    applicable: bool = True
 
 
 def decompose(w, gens, index):
@@ -131,11 +134,6 @@ def analyze_family(family, bound):
     return FamilyAnalysis(tuple(words), clo, complete, verdict)
 
 
-def check_theorem(family, bound):
-    """Verdict for the main sufficient condition at the given bound."""
-    return analyze_family(family, bound).verdict
-
-
 def check_corollary(family, bound):
     """Verdict for the stronger overlap-free condition at the given bound:
     no nonempty proper prefix of any word is a suffix of any word
@@ -208,26 +206,3 @@ def check_corollary(family, bound):
         for n, m, kind, witness in found
     )
     return Verdict(not violations, bound, violations)
-
-
-def check_sandwich(gens, words):
-    """Consistency check on closure output: when neither single letter is
-    a member, all words must share one starting letter and end with the
-    other, and every generator must do the same.  Not applicable when a
-    single letter is already a member.
-    """
-    if not words:
-        raise EmptyInput("sandwich check needs at least one word")
-    bound = len(words)
-    if member(gens, "a") or member(gens, "b"):
-        return Verdict(True, bound, (), applicable=False)
-    first = words[0][0]
-    last = "b" if first == "a" else "a"
-    violations = []
-    for i, w in enumerate(words, 1):
-        if len(w) < 2 or w[0] != first or w[-1] != last:
-            violations.append(Violation("word-orientation", (i,), (w,)))
-    for g in gens:
-        if g[0] != first or g[-1] != last:
-            violations.append(Violation("generator-orientation", (), (g,)))
-    return Verdict(not violations, bound, tuple(violations))

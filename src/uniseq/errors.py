@@ -58,11 +58,3 @@ class VerificationFailure(UniseqError):
 
 class CapExceeded(UniseqError, ValueError):
     """A requested size (ground set, sample count, bound) exceeds its cap."""
-
-
-class BlocksInvalid(UniseqError, ValueError):
-    """A set passed as a block is not a block of the given action."""
-
-
-class BlockNotClosed(UniseqError, ValueError):
-    """A generator does not restrict to a permutation of the block."""

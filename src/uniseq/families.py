@@ -79,13 +79,6 @@ class SequenceFamily:
         return self.explicit or len(self.templates) > 1
 
 
-def explicit_family(words):
-    """Explicit finite family listing the given words verbatim."""
-    return SequenceFamily(
-        tuple((Literal(check_word(w)),) for w in words), explicit=True
-    )
-
-
 def instantiate(family, index):
     """The index-th word of the family (indices start at 1)."""
     if not isinstance(index, int) or index < 1:
@@ -171,22 +164,6 @@ def substitute(words, assignment):
     return out
 
 
-def family_to_json(family):
-    templates = []
-    for template in family.templates:
-        segs = []
-        for seg in template:
-            if isinstance(seg, Literal):
-                segs.append({"lit": seg.word})
-            else:
-                segs.append({"pow": {"base": seg.base, "c": seg.coeff, "d": seg.offset}})
-        templates.append(segs)
-    out = {"alphabet": ALPHABET, "templates": templates}
-    if family.explicit:
-        out["explicit"] = True
-    return out
-
-
 def family_from_json(data):
     """Build a family from the JSON document format.
 
@@ -212,7 +189,7 @@ def family_from_json(data):
         segs = []
         for si, seg in enumerate(raw):
             where = f"templates[{ti}][{si}]"
-            if not isinstance(seg, dict) or len(seg) != 1:
+            if not isinstance(seg, dict) or set(seg) not in ({"lit"}, {"pow"}):
                 raise ParseError(f"{where}: segment must be {{'lit': ...}} or {{'pow': ...}}")
             if "lit" in seg:
                 lit = seg["lit"]

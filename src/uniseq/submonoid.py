@@ -118,31 +118,6 @@ def member(gens, w):
     return prefix_members(gens, w)[-1]
 
 
-def factorize(gens, w):
-    """A factorization of ``w`` into generators, or None.
-
-    The witness is deterministic: scanning left to right, the longest
-    generator that still leaves a factorizable remainder wins each step.
-    """
-    check_word(w)
-    gen_words = _as_words(gens)
-    suffix_ok = suffix_members(gen_words, w)
-    if not suffix_ok[0]:
-        return None
-    by_length = sorted(gen_words, key=word_key, reverse=True)
-    out = []
-    i = 0
-    while i < len(w):
-        for g in by_length:
-            if w.startswith(g, i) and suffix_ok[i + len(g)]:
-                out.append(g)
-                i += len(g)
-                break
-        else:
-            return None
-    return out
-
-
 def repeated_factors(gens, words):
     """All pieces occurring twice in a single word with member flanks.
 

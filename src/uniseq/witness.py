@@ -46,6 +46,7 @@ from .errors import (
     VerificationFailure,
 )
 from .families import MAX_BOUND
+from .submonoid import GeneratorSet
 from .words import check_word, word_key
 
 BASE = "base"
@@ -176,16 +177,6 @@ def state_key(state):
     return "|".join([cell_to_str(state.tail)] + [cell_to_str(e) for e in state.entries])
 
 
-class TableTarget:
-    """Target map given by a finite table; identity off the table."""
-
-    def __init__(self, table=None):
-        self.table = dict(table or {})
-
-    def __call__(self, state):
-        return self.table.get(state, state)
-
-
 DEFAULT_ATOMS = tuple(Atom(f"y{i}") for i in range(8))
 DEFAULT_CELL_WORDS = ("", "a", "b", "A", "B", "ab", "ba", "aB", "Ab")
 
@@ -239,13 +230,9 @@ class WitnessContext:
     target map per index."""
 
     def __init__(self, generators, decompositions, targets):
-        self.generators = tuple(sorted(set(generators), key=word_key))
+        self.generators = GeneratorSet(generators).generators
         self.decompositions = tuple(decompositions)
         self.targets = tuple(targets)
-        for g in self.generators:
-            check_word(g)
-            if not g:
-                raise ValueError("generators must be nonempty words")
         for n, dec in enumerate(self.decompositions, 1):
             if not isinstance(dec, Decomposition) or dec.index != n:
                 raise ValueError("decompositions must be indexed 1..k in order")

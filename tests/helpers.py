@@ -10,6 +10,9 @@ search for repeated factors, a closure that rebuilds its generators from
 the whole pool every round and tests each candidate with ``member``, and a
 witness machine whose every transition goes through the validating
 ``StackState(...)`` constructor instead of the machine's trusted one.
+
+It also holds two test fixtures: ``explicit_family``, a family listing
+given words verbatim, and ``TableTarget``, a target map given by a table.
 """
 
 from itertools import product
@@ -17,7 +20,7 @@ from itertools import product
 from uniseq.conditions import Verdict, Violation
 from uniseq.equations import evaluate
 from uniseq.errors import AmbiguousCollapse
-from uniseq.families import instantiate_many
+from uniseq.families import Literal, SequenceFamily, instantiate_many
 from uniseq.submonoid import (
     ClosureResult,
     GeneratorSet,
@@ -29,6 +32,21 @@ from uniseq.submonoid import (
 )
 from uniseq.words import word_key
 from uniseq.witness import TARGETED, StackState, _cell_at, _scan_matches, gw_inv, gw_mul
+
+
+def explicit_family(words):
+    """Explicit finite family listing the given words verbatim."""
+    return SequenceFamily(tuple((Literal(w),) for w in words), explicit=True)
+
+
+class TableTarget:
+    """Target map given by a finite table; identity off the table."""
+
+    def __init__(self, table=None):
+        self.table = dict(table or {})
+
+    def __call__(self, state):
+        return self.table.get(state, state)
 
 
 def submonoid_members(generators, max_len):

@@ -301,6 +301,23 @@ def test_bad_exponent_file_is_a_usage_error(tmp_path):
     assert result.returncode == 2
 
 
+def test_segment_neither_lit_nor_pow_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"alphabet": "ab", "templates": [[{"foo": 1}]]}))
+    code = cli.main(["closure", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: templates[0][0]: ")
+
+
+@pytest.mark.parametrize("perm", ["[[1,2],[1,3]]", "[[[1],2]]"])
+def test_perm_that_is_not_a_partial_function_is_a_usage_error(capsys, perm):
+    code = cli.main(["blocks", "--ground", "1,2,3", "--perm", perm])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: perm {perm!r}")
+
+
 @pytest.mark.parametrize("samples", [0, -5, MAX_SAMPLES + 1])
 def test_witness_sample_count_out_of_range_is_a_usage_error(capsys, samples):
     code = cli.main(["witness", "banach", "--samples", str(samples)])

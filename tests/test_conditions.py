@@ -6,8 +6,6 @@ from helpers import decompose_oracle
 from uniseq.conditions import (
     analyze_family,
     check_corollary,
-    check_sandwich,
-    check_theorem,
     decompose,
 )
 from uniseq.errors import SplitViolation
@@ -64,18 +62,18 @@ def test_decompose_agrees_with_exhaustive_oracle(w, gens):
 
 
 def test_theorem_holds_for_alternating_family():
-    verdict = check_theorem(ALTERNATING, 5)
+    verdict = analyze_family(ALTERNATING, 5).verdict
     assert verdict.holds
     assert verdict.bound == 5
     assert verdict.violations == ()
 
 
 def test_theorem_holds_for_banach_family():
-    assert check_theorem(BANACH, 5).holds
+    assert analyze_family(BANACH, 5).verdict.holds
 
 
 def test_theorem_fails_for_alternating_powers():
-    verdict = check_theorem(ALTERNATING_POWERS, 3)
+    verdict = analyze_family(ALTERNATING_POWERS, 3).verdict
     assert not verdict.holds
     split = [v for v in verdict.violations if v.condition == "split"]
     assert split and split[0].indices == (1,)
@@ -107,7 +105,7 @@ def test_corollary_implies_theorem_on_named_families():
     for fam in (BANACH, SIERPINSKI):
         assert check_corollary(fam, 5).holds
         assert closure(instantiate_many(fam, 5)).generators.generators == ()
-        assert check_theorem(fam, 5).holds
+        assert analyze_family(fam, 5).verdict.holds
 
 
 def test_middles_share_the_word_orientation():
@@ -117,36 +115,15 @@ def test_middles_share_the_word_orientation():
         assert d.middle[0] == "a" and d.middle[-1] == "b"
 
 
-def test_sandwich_small_cases():
-    words = instantiate_many(ALTERNATING, 3)
-    assert check_sandwich(("ab",), words).holds
-
-    assert check_sandwich((), instantiate_many(BANACH, 3)).holds
-
-    verdict = check_sandwich(("a",), ["aa"])
-    assert not verdict.applicable
-    assert verdict.holds
-
-
-def test_sandwich_flags_misoriented_words_and_generators():
-    verdict = check_sandwich(("ab",), ["abab", "aba"])
-    assert not verdict.holds
-    assert any(v.condition == "word-orientation" for v in verdict.violations)
-
-    verdict = check_sandwich(("ba",), ["ab"])
-    assert any(v.condition == "generator-orientation" for v in verdict.violations)
-
-
 def test_verdict_serialization_shape():
-    verdict = check_theorem(ALTERNATING, 3)
+    verdict = analyze_family(ALTERNATING, 3).verdict
     assert verdict.holds is True
     assert verdict.bound == 3
     assert verdict.violations == ()
-    assert verdict.applicable is True
 
 
 def test_bound_must_be_at_least_two():
     with pytest.raises(ValueError):
-        check_theorem(ALTERNATING, 1)
+        analyze_family(ALTERNATING, 1)
     with pytest.raises(ValueError):
         check_corollary(BANACH, 1)

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import explicit_family
 from uniseq import families
 from uniseq.errors import (
     CapExceeded,
@@ -20,11 +23,10 @@ from uniseq.families import (
     Literal,
     Power,
     SequenceFamily,
-    explicit_family,
     family_from_json,
-    family_to_json,
     instantiate,
     instantiate_many,
+    load_family,
     substitute,
     total_letters,
 )
@@ -150,9 +152,10 @@ def test_total_letters_is_the_length_of_the_instantiated_words(templates, explic
     assert total_letters(family, bound) == sum(map(len, instantiate_many(family, bound)))
 
 
-def test_json_round_trip():
-    for fam in (BANACH, SIERPINSKI, ALTERNATING, explicit_family(["ab", "ba"])):
-        assert family_from_json(family_to_json(fam)) == fam
+@pytest.mark.parametrize("name", sorted(BUILTIN_FAMILIES))
+def test_shipped_family_files_match_the_builtins(name):
+    path = Path(__file__).resolve().parent.parent / "families" / f"{name}.json"
+    assert load_family(path) == BUILTIN_FAMILIES[name]
 
 
 def test_json_alphabet_must_be_ab():
@@ -169,6 +172,8 @@ def test_json_rejects_bad_exponent():
 def test_json_rejects_malformed_segments():
     with pytest.raises(ParseError):
         family_from_json({"alphabet": "ab", "templates": [[{"lit": "a", "pow": {}}]]})
+    with pytest.raises(ParseError):
+        family_from_json({"alphabet": "ab", "templates": [[{"foo": 1}]]})
     with pytest.raises(ParseError):
         family_from_json({"alphabet": "ab", "templates": []})
     with pytest.raises(ParseError):

@@ -12,12 +12,13 @@ from helpers import (
     check_corollary_reference,
     closure_reference,
     cross_factors_reference,
+    explicit_family,
     repeated_factors_reference,
     satisfies_conditions,
 )
 from uniseq import cli
 from uniseq.conditions import check_corollary
-from uniseq.families import BUILTIN_FAMILIES, explicit_family, instantiate_many
+from uniseq.families import BUILTIN_FAMILIES, instantiate_many
 from uniseq.submonoid import closure, cross_factors, repeated_factors
 
 BUILTINS = sorted(BUILTIN_FAMILIES)

@@ -9,7 +9,6 @@ from uniseq.submonoid import (
     GeneratorSet,
     closure,
     cross_factors,
-    factorize,
     irredundant_generators,
     member,
     prefix_members,
@@ -23,16 +22,8 @@ gens_st = st.sets(words_st, max_size=3).map(lambda s: tuple(sorted(s)))
 
 def test_membership_small_cases():
     assert member(("ab",), "abab")
-    assert factorize(("ab",), "abab") == ["ab", "ab"]
     assert not member(("ab",), "aba")
-    assert factorize(("ab",), "aba") is None
     assert member((), "")
-    assert factorize((), "") == []
-
-
-def test_factorization_prefers_longest_generator():
-    assert factorize(("a", "aa"), "aaa") == ["aa", "a"]
-    assert factorize(("a", "ab"), "aab") == ["a", "ab"]
 
 
 @given(gens_st, words_st)
@@ -45,18 +36,6 @@ def test_member_tables_agree_with_product_enumeration(gens, w):
     members = submonoid_members(gens, len(w))
     assert prefix_members(gens, w) == [w[:i] in members for i in range(len(w) + 1)]
     assert suffix_members(gens, w) == [w[i:] in members for i in range(len(w) + 1)]
-
-
-@given(gens_st, st.lists(words_st, min_size=1, max_size=3))
-def test_factorization_witness_is_sound(gens, pieces):
-    w = "".join(g for g in pieces)
-    parts = factorize(gens, w)
-    if parts is not None:
-        assert "".join(parts) == w
-        assert all(p in set(gens) for p in parts)
-    product = "".join(pieces)
-    if all(p in set(gens) for p in pieces):
-        assert factorize(gens, product) is not None
 
 
 def test_repeated_factors_small_cases():

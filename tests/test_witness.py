@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import eval_hom_reference
-from uniseq.conditions import analyze_family, check_theorem
+from helpers import TableTarget, eval_hom_reference
+from uniseq.conditions import analyze_family
 from uniseq.errors import (
     AmbiguousCollapse,
     CapExceeded,
@@ -27,7 +27,6 @@ from uniseq.witness import (
     Atom,
     SeededTarget,
     StackState,
-    TableTarget,
     WitnessContext,
     collapse_generator,
     eval_hom,
@@ -171,7 +170,7 @@ TWO_POWERS = SequenceFamily(
 def test_evaluation_matches_the_validating_reference(family):
     bound = 4
     analysis = analyze_family(family, bound)
-    assert check_theorem(family, bound).holds
+    assert analyze_family(family, bound).verdict.holds
     ctx = WitnessContext(
         analysis.closure.generators, analysis.decompositions, seeded_targets(2, bound)
     )
@@ -311,7 +310,7 @@ def test_every_family_passing_the_checks_verifies():
         family = SequenceFamily(
             ((Literal("a" + lead), Power(base, 1, 1), Literal(trail + "b")),)
         )
-        if not check_theorem(family, 3).holds:
+        if not analyze_family(family, 3).verdict.holds:
             continue
         report = verify_witness(family, 3, seeded_targets(3, 3), sample_states(8, 3))
         assert report.passed, (lead, base, trail)
