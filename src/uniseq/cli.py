@@ -7,6 +7,7 @@ fails or the system is unsatisfiable, 2 on usage or input errors.
 import argparse
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 from .actions import blocks, partial_perm
@@ -224,6 +225,8 @@ def cmd_solve(args):
 
 def cmd_blocks(args):
     ground = _parse_ints("ground", args.ground)
+    if len(set(ground)) != len(ground):
+        raise ParseError(f"ground {args.ground!r} lists a point twice")
     perms = []
     for text in args.perm or ():
         try:
@@ -234,13 +237,13 @@ def cmd_blocks(args):
             isinstance(p, list) and len(p) == 2 for p in pairs
         ):
             raise ParseError(f"perm {text!r} must be a list of [from, to] pairs")
+        if not {type(p) for p in chain.from_iterable(pairs)} <= {int}:
+            raise ParseError(f"perm {text!r}: points must be integers")
         try:
             mapping = dict(pairs)
             if len(mapping) < len(pairs) and any(mapping[x] != y for x, y in pairs):
                 raise ValueError("a point has two images")
             perms.append(partial_perm(mapping, ground))
-        except TypeError:
-            raise ParseError(f"perm {text!r}: points cannot be lists or objects")
         except ValueError as exc:
             raise ParseError(f"perm {text!r}: {exc}")
     partition = blocks(perms, ground)

@@ -177,8 +177,9 @@ def state_key(state):
     return "|".join([cell_to_str(state.tail)] + [cell_to_str(e) for e in state.entries])
 
 
-DEFAULT_ATOMS = tuple(Atom(f"y{i}") for i in range(8))
-DEFAULT_CELL_WORDS = ("", "a", "b", "A", "B", "ab", "ba", "aB", "Ab")
+ATOMS = tuple(Atom(f"y{i}") for i in range(8))
+CELL_WORDS = ("", "a", "b", "A", "B", "ab", "ba", "aB", "Ab")
+CELLS = ATOMS + CELL_WORDS
 
 
 class SeededTarget:
@@ -190,11 +191,9 @@ class SeededTarget:
     equal outputs, regardless of call order or interleaving.
     """
 
-    def __init__(self, seed, index, atoms=DEFAULT_ATOMS, cell_words=DEFAULT_CELL_WORDS):
+    def __init__(self, seed, index):
         self.seed = seed
         self.index = index
-        self.atoms = tuple(atoms)
-        self.cell_words = tuple(cell_words)
         self._memo = {}
 
     def __call__(self, state):
@@ -206,13 +205,12 @@ class SeededTarget:
     def _build(self, state):
         text = f"{self.seed}|{self.index}|{state_key(state)}"
         digest = hashlib.sha256(text.encode("utf-8")).digest()
-        pool = self.atoms + self.cell_words
         depth = digest[0] % 4
         if depth == 0:
-            return StackState(self.cell_words[digest[1] % len(self.cell_words)])
-        tail = pool[digest[1] % len(pool)]
-        middles = tuple(pool[digest[2 + k] % len(pool)] for k in range(depth - 1))
-        innermost = self.cell_words[digest[6] % len(self.cell_words)]
+            return StackState(CELL_WORDS[digest[1] % len(CELL_WORDS)])
+        tail = CELLS[digest[1] % len(CELLS)]
+        middles = tuple(CELLS[digest[2 + k] % len(CELLS)] for k in range(depth - 1))
+        innermost = CELL_WORDS[digest[6] % len(CELL_WORDS)]
         return StackState(tail, middles + (innermost,))
 
 
@@ -351,31 +349,29 @@ def eval_hom(word, state, mode, ctx):
 
 
 # Largest sample ``sample_states`` draws: far below the 751,689 distinct
-# states the default pools form, so rejection sampling ends within a few
+# states the pools form, so rejection sampling ends within a few
 # hundred thousand draws.
 MAX_SAMPLES = 100_000
 
 
-def sample_states(count, seed, atoms=DEFAULT_ATOMS, cell_words=DEFAULT_CELL_WORDS):
+def sample_states(count, seed):
     """Deterministic sample of distinct states mixing atom and signed-word
-    cells at depths 0 through 4.  ``count`` must lie in 1..MAX_SAMPLES, and
-    custom pools must be able to form that many distinct states."""
+    cells at depths 0 through 4.  ``count`` must lie in 1..MAX_SAMPLES."""
     if count < 1:
         raise ValueError(f"need at least one sampled state, got {count}")
     if count > MAX_SAMPLES:
         raise CapExceeded(f"{count} sampled states exceeds the cap {MAX_SAMPLES}")
     rng = random.Random(f"states:{seed}")
-    pool = list(atoms) + list(cell_words)
     seen = set()
     out = []
     while len(out) < count:
         depth = rng.randrange(0, 5)
         if depth == 0:
-            state = StackState(rng.choice(cell_words))
+            state = StackState(rng.choice(CELL_WORDS))
         else:
-            tail = rng.choice(pool)
-            middles = tuple(rng.choice(pool) for _ in range(depth - 1))
-            state = StackState(tail, middles + (rng.choice(cell_words),))
+            tail = rng.choice(CELLS)
+            middles = tuple(rng.choice(CELLS) for _ in range(depth - 1))
+            state = StackState(tail, middles + (rng.choice(CELL_WORDS),))
         if state not in seen:
             seen.add(state)
             out.append(state)
@@ -457,6 +453,11 @@ def verify_witness(family, bound, targets, samples):
     * firing step: evaluating a middle in targeted mode equals the base
       evaluation followed by one firing pass.
 
+    Checks share their runs: each (word, sample, mode) goes through
+    ``eval_hom`` once per call, where a check first needs it, so targets
+    must be deterministic, and up to (3N + 2P) * S states stay alive until
+    the call returns (N words, P generator products, S samples).
+
     Raises HypothesisNotVerified when the family fails its condition
     check, and VerificationFailure (carrying the partial report) on the
     first mismatch.
@@ -483,36 +484,39 @@ def verify_witness(family, bound, targets, samples):
         not_applicable=() if products else ("append", "agreement"),
     )
 
-    def fail(check, index, state, got, expected):
-        report.failure = {
-            "check": check,
-            "index": index,
-            "state": state_to_json(state),
-            "got": state_to_json(got),
-            "expected": state_to_json(expected),
-        }
-        raise VerificationFailure(
-            f"{check} check failed at index {index} on {state_key(state)!r}", report
-        )
+    runs = {}
 
-    for n, w in enumerate(analysis.words, 1):
-        target = ctx.targets[n - 1]
+    def run(word, x, mode):
+        key = (word, x, mode)
+        got = runs.get(key)
+        if got is None:
+            got = runs[key] = eval_hom(word, x, mode, ctx)
+        return got
+
+    def check(name, index, x, got, expected, ok=None):
+        if not (got == expected if ok is None else ok):
+            report.failure = {
+                "check": name,
+                "index": index,
+                "state": state_to_json(x),
+                "got": state_to_json(got),
+                "expected": state_to_json(expected),
+            }
+            raise VerificationFailure(
+                f"{name} check failed at index {index} on {state_key(x)!r}", report
+            )
+        report.checks[name] += 1
+
+    for n, (w, target) in enumerate(zip(analysis.words, ctx.targets), 1):
         for x in samples:
-            got = eval_hom(w, x, TARGETED, ctx)
-            expected = target(x)
-            if got != expected:
-                fail("target", n, x, got, expected)
-            report.checks["target"] += 1
+            check("target", n, x, run(w, x, TARGETED), target(x))
 
     for v in products:
         outputs = set()
         for x in samples:
-            got = eval_hom(v, x, BASE, ctx)
-            expected = _append_innermost(x, v)
-            if got != expected:
-                fail("append", None, x, got, expected)
+            got = run(v, x, BASE)
+            check("append", None, x, got, _append_innermost(x, v))
             outputs.add(got)
-            report.checks["append"] += 1
         if len(outputs) != len(samples):
             report.failure = {"check": "append-injective", "index": None, "product": v}
             raise VerificationFailure(
@@ -521,11 +525,7 @@ def verify_witness(family, bound, targets, samples):
 
     for v in products:
         for x in samples:
-            base = eval_hom(v, x, BASE, ctx)
-            targeted = eval_hom(v, x, TARGETED, ctx)
-            if base != targeted:
-                fail("agreement", None, x, targeted, base)
-            report.checks["agreement"] += 1
+            check("agreement", None, x, run(v, x, TARGETED), run(v, x, BASE))
 
     for dec in analysis.decompositions:
         for length in range(1, len(dec.middle) + 1):
@@ -541,17 +541,13 @@ def verify_witness(family, bound, targets, samples):
                     report,
                 )
         for x in samples:
-            got = eval_hom(dec.middle, x, BASE, ctx)
-            if not _extends_with(got, x, dec.middle):
-                fail("stacking", dec.index, x, got, x)
-            report.checks["stacking"] += 1
+            got = run(dec.middle, x, BASE)
+            check("stacking", dec.index, x, got, x, ok=_extends_with(got, x, dec.middle))
 
     for dec in analysis.decompositions:
         for x in samples:
-            lhs = eval_hom(dec.middle, x, TARGETED, ctx)
-            rhs = fire_target(eval_hom(dec.middle, x, BASE, ctx), ctx)
-            if lhs != rhs:
-                fail("firing_step", dec.index, x, lhs, rhs)
-            report.checks["firing_step"] += 1
+            lhs = run(dec.middle, x, TARGETED)
+            rhs = fire_target(run(dec.middle, x, BASE), ctx)
+            check("firing_step", dec.index, x, lhs, rhs)
 
     return report

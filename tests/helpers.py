@@ -9,7 +9,9 @@ loop over member starts, member ends and lengths instead of the occurrence
 search for repeated factors, a closure that rebuilds its generators from
 the whole pool every round and tests each candidate with ``member``, and a
 witness machine whose every transition goes through the validating
-``StackState(...)`` constructor instead of the machine's trusted one.
+``StackState(...)`` constructor instead of the machine's trusted one.  The
+reference witness verification runs the machine afresh for every check,
+as ``verify_witness`` did before its checks shared one table of runs.
 
 It also holds two test fixtures: ``explicit_family``, a family listing
 given words verbatim, and ``TableTarget``, a target map given by a table.
@@ -17,9 +19,10 @@ given words verbatim, and ``TableTarget``, a target map given by a table.
 
 from itertools import product
 
-from uniseq.conditions import Verdict, Violation
+from uniseq.conditions import Verdict, Violation, analyze_family
 from uniseq.equations import evaluate
-from uniseq.errors import AmbiguousCollapse
+from uniseq import witness
+from uniseq.errors import AmbiguousCollapse, HypothesisNotVerified, VerificationFailure
 from uniseq.families import Literal, SequenceFamily, instantiate_many
 from uniseq.submonoid import (
     ClosureResult,
@@ -31,7 +34,19 @@ from uniseq.submonoid import (
     suffix_members,
 )
 from uniseq.words import word_key
-from uniseq.witness import TARGETED, StackState, _cell_at, _scan_matches, gw_inv, gw_mul
+from uniseq.witness import (
+    BASE,
+    TARGETED,
+    StackState,
+    WitnessContext,
+    WitnessReport,
+    _cell_at,
+    _scan_matches,
+    gw_inv,
+    gw_mul,
+    state_key,
+    state_to_json,
+)
 
 
 def explicit_family(words):
@@ -246,3 +261,104 @@ def eval_hom_reference(word, state, mode, ctx):
             mapped = ctx.targets[dec.index - 1](unwound)
             state = _append_reference(mapped, gw_inv(dec.suffix))
     return state
+
+
+def verify_witness_reference(family, bound, targets, samples):
+    """``witness.verify_witness`` evaluating the machine anew for every
+    check.  It reaches ``eval_hom``, ``fire_target``, ``_append_innermost``
+    and ``_extends_with`` through the module, so a test that patches one of
+    them changes both implementations alike."""
+    analysis = analyze_family(family, bound)
+    if not analysis.verdict.holds or analysis.decompositions is None:
+        raise HypothesisNotVerified(
+            f"family fails the side conditions at bound {bound}", analysis.verdict
+        )
+    if not all(w[0] == "a" and w[-1] == "b" for w in analysis.words):
+        raise HypothesisNotVerified(
+            "the machine needs words starting with a and ending with b; "
+            "substitute the letters for each other first",
+            analysis.verdict,
+        )
+    if len(targets) < bound:
+        raise ValueError(f"need at least {bound} targets, got {len(targets)}")
+    ctx = WitnessContext(
+        analysis.closure.generators, analysis.decompositions, tuple(targets)[:bound]
+    )
+    products = witness.generator_products(ctx.generators)
+    report = WitnessReport(
+        bound, len(samples), {name: 0 for name in witness._CHECK_NAMES},
+        not_applicable=() if products else ("append", "agreement"),
+    )
+
+    def fail(check, index, state, got, expected):
+        report.failure = {
+            "check": check,
+            "index": index,
+            "state": state_to_json(state),
+            "got": state_to_json(got),
+            "expected": state_to_json(expected),
+        }
+        raise VerificationFailure(
+            f"{check} check failed at index {index} on {state_key(state)!r}", report
+        )
+
+    for n, w in enumerate(analysis.words, 1):
+        target = ctx.targets[n - 1]
+        for x in samples:
+            got = witness.eval_hom(w, x, TARGETED, ctx)
+            expected = target(x)
+            if got != expected:
+                fail("target", n, x, got, expected)
+            report.checks["target"] += 1
+
+    for v in products:
+        outputs = set()
+        for x in samples:
+            got = witness.eval_hom(v, x, BASE, ctx)
+            expected = witness._append_innermost(x, v)
+            if got != expected:
+                fail("append", None, x, got, expected)
+            outputs.add(got)
+            report.checks["append"] += 1
+        if len(outputs) != len(samples):
+            report.failure = {"check": "append-injective", "index": None, "product": v}
+            raise VerificationFailure(
+                f"append map for {v!r} is not injective on the sample", report
+            )
+
+    for v in products:
+        for x in samples:
+            base = witness.eval_hom(v, x, BASE, ctx)
+            targeted = witness.eval_hom(v, x, TARGETED, ctx)
+            if base != targeted:
+                fail("agreement", None, x, targeted, base)
+            report.checks["agreement"] += 1
+
+    for dec in analysis.decompositions:
+        for length in range(1, len(dec.middle) + 1):
+            prefix = dec.middle[:length]
+            if any(g.endswith(prefix) for g in ctx.generators):
+                report.failure = {
+                    "check": "stacking-hypothesis",
+                    "index": dec.index,
+                    "prefix": prefix,
+                }
+                raise VerificationFailure(
+                    f"middle {dec.middle!r} shares a prefix with a generator suffix",
+                    report,
+                )
+        for x in samples:
+            got = witness.eval_hom(dec.middle, x, BASE, ctx)
+            if not witness._extends_with(got, x, dec.middle):
+                fail("stacking", dec.index, x, got, x)
+            report.checks["stacking"] += 1
+
+    for dec in analysis.decompositions:
+        for x in samples:
+            lhs = witness.eval_hom(dec.middle, x, TARGETED, ctx)
+            rhs = witness.fire_target(witness.eval_hom(dec.middle, x, BASE, ctx), ctx)
+            if lhs != rhs:
+                fail("firing_step", dec.index, x, lhs, rhs)
+            report.checks["firing_step"] += 1
+
+    return report

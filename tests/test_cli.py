@@ -310,12 +310,21 @@ def test_segment_neither_lit_nor_pow_is_a_usage_error(capsys, tmp_path):
     assert err.startswith("error: templates[0][0]: ")
 
 
-@pytest.mark.parametrize("perm", ["[[1,2],[1,3]]", "[[[1],2]]"])
+@pytest.mark.parametrize(
+    "perm", ["[[1,2],[1,3]]", "[[[1],2]]", "[[true,2]]", "[[1,2.0]]", '[[1,{"a":2}]]']
+)
 def test_perm_that_is_not_a_partial_function_is_a_usage_error(capsys, perm):
     code = cli.main(["blocks", "--ground", "1,2,3", "--perm", perm])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err.startswith(f"error: perm {perm!r}")
+
+
+def test_ground_that_lists_a_point_twice_is_a_usage_error(capsys):
+    code = cli.main(["blocks", "--ground", "1,1,2", "--perm", "[[1,2]]"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: ground '1,1,2' lists a point twice\n"
 
 
 @pytest.mark.parametrize("samples", [0, -5, MAX_SAMPLES + 1])

@@ -1,9 +1,11 @@
 """Guards on the size of the package's surface.
 
 Every public top-level function and class in ``src/uniseq`` must have a
-caller in the package or the benchmark, so code that only tests use does
-not accumulate in ``src/``; the package namespace holds exactly the API the
-README documents, and the README's library example runs as written.
+caller in the package or in the benchmark modules that import it
+(``perfbench/run.py`` and ``perfbench/trace.py``), so code that only tests
+use does not accumulate in ``src/``; the package namespace holds exactly
+the API the README documents, and the README's library example runs as
+written.
 """
 
 import ast
@@ -14,7 +16,9 @@ import uniseq
 
 REPO = Path(__file__).resolve().parent.parent
 SOURCES = sorted((REPO / "src" / "uniseq").glob("*.py"))
-CALLERS = SOURCES + sorted((REPO / "perfbench").glob("*.py"))
+# The other perfbench modules import nothing from uniseq, so a name they
+# define or use is never a caller of the package.
+CALLERS = SOURCES + [REPO / "perfbench" / "run.py", REPO / "perfbench" / "trace.py"]
 
 
 def _used_names(node):
@@ -42,7 +46,7 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
             used.update(n for n in _used_names(node) if n != name)
     assert len(defined) >= 50, sorted(defined)
     uncalled = sorted(f"{path}:{name}" for name, path in defined.items() if name not in used)
-    assert not uncalled, f"public names nothing in src/ or perfbench/ uses: {uncalled}"
+    assert not uncalled, f"public names nothing in src/ or the benchmark uses: {uncalled}"
 
 
 def test_every_exported_name_resolves():

@@ -1,10 +1,12 @@
+from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import TableTarget, eval_hom_reference
+from helpers import TableTarget, eval_hom_reference, verify_witness_reference
+from uniseq import witness
 from uniseq.conditions import analyze_family
 from uniseq.errors import (
     AmbiguousCollapse,
@@ -39,6 +41,7 @@ from uniseq.witness import (
     sample_states,
     seeded_targets,
     state_key,
+    state_to_json,
     step,
     verify_witness,
 )
@@ -299,23 +302,49 @@ def test_verification_with_a_three_letter_generator():
     assert report.checks["append"] > 0
 
 
-def test_every_family_passing_the_checks_verifies():
-    # All 294 families a+lead (base)^(n+1) trail+b with lead and trail of at
-    # most two letters and a base of one or two.  Every word starts with a
-    # and ends with b, so only the theorem check filters; 83 of them pass
-    # it, and each must verify.
-    short = ("", "a", "b", "aa", "ab", "ba", "bb")
-    verified = 0
-    for lead, base, trail in product(short, short[1:], short):
-        family = SequenceFamily(
-            ((Literal("a" + lead), Power(base, 1, 1), Literal(trail + "b")),)
-        )
-        if not analyze_family(family, 3).verdict.holds:
+def _verify_passing(families, samples, bound=5):
+    """Reports of ``verify_witness`` on every family passing the theorem
+    check; each must pass."""
+    reports = []
+    for family in families:
+        if not analyze_family(family, bound).verdict.holds:
             continue
-        report = verify_witness(family, 3, seeded_targets(3, 3), sample_states(8, 3))
-        assert report.passed, (lead, base, trail)
-        verified += 1
-    assert verified == 83
+        report = verify_witness(
+            family, bound, seeded_targets(3, bound), sample_states(samples, 3)
+        )
+        assert report.passed, family
+        reports.append(report)
+    return reports
+
+
+def test_every_family_passing_the_checks_verifies():
+    # All 588 families a+lead (base)^(cn+1) trail+b with lead and trail of
+    # at most two letters, a base of one or two and c in {1, 2}.  Every word
+    # starts with a and ends with b, so only the theorem check filters; at
+    # bound 5, 166 of them pass it, and each must verify.
+    short = ("", "a", "b", "aa", "ab", "ba", "bb")
+    families = [
+        SequenceFamily(((Literal("a" + lead), Power(base, c, 1), Literal(trail + "b")),))
+        for lead, base, trail, c in product(short, short[1:], short, (1, 2))
+    ]
+    assert len(_verify_passing(families, 4)) == 166
+
+
+def test_every_two_power_family_passing_the_checks_verifies():
+    # All 108 families g a X^(cn+1) m Y^n b g with the end piece g and the
+    # bases X, Y drawn from ab, aab, abb, a middle m of "" or b, and c in
+    # {1, 2}.  At bound 5, 54 of them pass the theorem, all with
+    # generators, so every check runs; each must verify.
+    ends = ("ab", "aab", "abb")
+    families = [
+        SequenceFamily((
+            (Literal(g + "a"), Power(x, c, 1), Literal(m), Power(y, 1, 0), Literal("b" + g)),
+        ))
+        for g, x, m, y, c in product(ends, ends, ("", "b"), ends, (1, 2))
+    ]
+    reports = _verify_passing(families, 2)
+    assert len(reports) == 54
+    assert all(not r.not_applicable and r.checks["agreement"] for r in reports)
 
 
 class _Unstable:
@@ -340,3 +369,92 @@ def test_verification_failure_carries_a_report():
     assert report is not None
     assert report.failure is not None
     assert report.failure["check"] == "target"
+
+
+def _outcome(verify, family, bound, targets, samples):
+    """Check counts, inapplicable checks and failure of one verification."""
+    try:
+        report = verify(family, bound, targets, samples)
+    except VerificationFailure as exc:
+        report = exc.report
+    return report.checks, report.not_applicable, report.failure
+
+
+@pytest.mark.parametrize("bound", range(2, 7))
+@pytest.mark.parametrize(
+    "family", [BANACH, SIERPINSKI, ALTERNATING], ids=["banach", "sierpinski", "alternating"]
+)
+def test_shared_runs_give_the_reference_report(family, bound):
+    samples = sample_states(10, bound)
+    got = _outcome(verify_witness, family, bound, seeded_targets(bound, bound), samples)
+    expected = _outcome(
+        verify_witness_reference, family, bound, seeded_targets(bound, bound), samples
+    )
+    assert got == expected
+    assert got[2] is None
+
+
+MARKER = StackState(Atom("marker"), ("",))
+
+
+@pytest.mark.parametrize(
+    "check, index, mode, source",
+    [
+        ("target", 2, TARGETED, "words"),
+        ("append", None, BASE, "products"),
+        ("agreement", None, TARGETED, "products"),
+        ("stacking", 2, BASE, "middles"),
+        ("firing_step", 2, TARGETED, "middles"),
+    ],
+)
+def test_an_injected_failure_gives_the_reference_report(monkeypatch, check, index, mode, source):
+    # One run, of the second word of its kind on the fourth sample, returns
+    # a state no check expects; both loops must stop at the same check with
+    # the same partial counts.
+    analysis = analyze_family(ALTERNATING, 3)
+    inputs = {
+        "words": analysis.words,
+        "products": generator_products(analysis.closure.generators.generators),
+        "middles": [d.middle for d in analysis.decompositions],
+    }[source]
+    samples = sample_states(6, 8)
+    bad = (inputs[1], samples[3], mode)
+    real = witness.eval_hom
+
+    def corrupted(word, state, mode, ctx):
+        return MARKER if (word, state, mode) == bad else real(word, state, mode, ctx)
+
+    monkeypatch.setattr(witness, "eval_hom", corrupted)
+    got = _outcome(verify_witness, ALTERNATING, 3, seeded_targets(0, 3), samples)
+    assert got == _outcome(verify_witness_reference, ALTERNATING, 3, seeded_targets(0, 3), samples)
+    failure = got[2]
+    assert (failure["check"], failure["index"]) == (check, index)
+    assert failure["state"] == state_to_json(samples[3])
+    assert state_to_json(MARKER) in (failure["got"], failure["expected"])
+
+
+@pytest.mark.parametrize(
+    "family, bound, samples, calls",
+    [
+        # 3 words targeted, 12 products in both modes, 3 middles in both
+        # modes: 20 * (3 + 24 + 6) runs.
+        (ALTERNATING, 3, 20, 660),
+        # No generators, and every middle is its whole word, so the firing
+        # check's targeted runs are the target check's: 10 * (4 + 4) runs.
+        (SIERPINSKI, 4, 10, 80),
+    ],
+    ids=["alternating", "sierpinski"],
+)
+def test_no_run_is_evaluated_twice(monkeypatch, family, bound, samples, calls):
+    seen = Counter()
+    real = witness.eval_hom
+
+    def counted(word, state, mode, ctx):
+        seen[word, state, mode] += 1
+        return real(word, state, mode, ctx)
+
+    monkeypatch.setattr(witness, "eval_hom", counted)
+    report = verify_witness(family, bound, seeded_targets(1, bound), sample_states(samples, 1))
+    assert report.passed
+    assert max(seen.values()) == 1
+    assert sum(seen.values()) == calls
