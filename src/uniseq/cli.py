@@ -178,13 +178,11 @@ def cmd_witness(args):
         result = verify_witness(family, args.bound, targets, samples)
     except HypothesisNotVerified as exc:
         report.update(verdict="not-verified", reason=str(exc))
-        if exc.verdict is not None:
-            report["violations"] = [v.to_json() for v in exc.verdict.violations]
+        report["violations"] = [v.to_json() for v in exc.verdict.violations]
         return report, 1
     except VerificationFailure as exc:
         report["verdict"] = "fail"
-        if exc.report is not None:
-            report.update(checks=dict(exc.report.checks), failure=exc.report.failure)
+        report.update(checks=dict(exc.report.checks), failure=exc.report.failure)
         return report, 1
     report.update(verdict="pass", checks=dict(result.checks), failure=None)
     if result.not_applicable:
@@ -202,7 +200,7 @@ def _parse_ints(name, text):
 def cmd_solve(args):
     if not args.word:
         raise ParseError("give at least one equation with -w WORD -t TARGET")
-    if len(args.word) != len(args.target):
+    if len(args.word) != len(args.target or ()):
         raise ParseError("need exactly one -t TARGET per -w WORD")
     targets = [_parse_ints("target", t) for t in args.target]
     sizes = {len(t) for t in targets}
@@ -233,6 +231,8 @@ def cmd_blocks(args):
             pairs = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"perm {text!r} is not valid JSON: {exc.msg}")
+        except RecursionError:
+            raise ParseError(f"perm {text!r} is nested too deeply") from None
         if not isinstance(pairs, list) or not all(
             isinstance(p, list) and len(p) == 2 for p in pairs
         ):
@@ -301,12 +301,11 @@ def build_parser():
     sub.add_argument("--samples", type=int, default=50, help="sampled states per word")
 
     sub = subparsers.add_parser("solve", help="solve word equations over a small map monoid")
-    sub.add_argument("-w", "--word", action="append", default=[], help="equation word")
+    sub.add_argument("-w", "--word", action="append", help="equation word")
     sub.add_argument(
         "-t",
         "--target",
         action="append",
-        default=[],
         help="target map as comma-separated images, e.g. 1,0",
     )
     sub.add_argument(
@@ -322,7 +321,6 @@ def build_parser():
     sub.add_argument(
         "--perm",
         action="append",
-        default=[],
         help='partial permutation as JSON pairs, e.g. "[[1,2],[2,1]]"',
     )
     _add_common(sub, cmd_blocks, min_bound=None)
@@ -333,10 +331,12 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.min_bound is not None and args.bound < args.min_bound:
-        print(f"error: --bound must be at least {args.min_bound}", file=sys.stderr)
-        return 2
     try:
+        # argparse reads "--opt=--" as [], and append options default to None.
+        if any(v == [] or (isinstance(v, list) and [] in v) for v in vars(args).values()):
+            raise ParseError("'--' is not a valid option value")
+        if args.min_bound is not None and args.bound < args.min_bound:
+            raise ParseError(f"--bound must be at least {args.min_bound}")
         report, code = args.func(args)
         print(json.dumps(report) if args.format == "json" else render_text(report))
     except (UniseqError, ValueError, OSError) as exc:

@@ -25,10 +25,8 @@ def compose_maps(first, then):
 
 def evaluate(word, assignment):
     """Image map of a nonempty word under a letter-to-map assignment,
-    composing left to right."""
-    check_word(word)
-    if not word:
-        raise ValueError("evaluate needs a nonempty word")
+    composing left to right.  ``solve`` checks each word once, so this does
+    not: an unknown letter raises KeyError and the empty word IndexError."""
     current = assignment[word[0]]
     for ch in word[1:]:
         current = compose_maps(current, assignment[ch])

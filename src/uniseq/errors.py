@@ -43,7 +43,7 @@ class HypothesisNotVerified(UniseqError):
     """Witness verification was requested for a family whose side
     conditions failed at the given bound."""
 
-    def __init__(self, message, verdict=None):
+    def __init__(self, message, verdict):
         super().__init__(message)
         self.verdict = verdict
 
@@ -51,7 +51,7 @@ class HypothesisNotVerified(UniseqError):
 class VerificationFailure(UniseqError):
     """A witness evaluation disagreed with its target."""
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report):
         super().__init__(message)
         self.report = report
 

@@ -231,6 +231,8 @@ def load_family(path):
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except RecursionError:
+            raise ParseError(f"{path}: JSON nested too deeply") from None
     return family_from_json(data)
 
 

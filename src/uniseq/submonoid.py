@@ -14,6 +14,7 @@ is decided by word-break dynamic programming over prefixes.  Each round
 tests its candidates in one batch: in reverse lexicographic order every
 candidate that is a prefix of another comes right after a word it is a
 prefix of, so one prefix table answers for a whole chain of prefixes.
+Generating sets are plain tuples of words.
 """
 
 from bisect import bisect_left
@@ -22,37 +23,6 @@ from itertools import compress
 
 from .errors import EmptyInput
 from .words import Automaton, check_word, word_key
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """A finite set of nonempty words, standing for the submonoid they
-    generate (which always contains the empty word)."""
-
-    generators: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if isinstance(self.generators, str):
-            raise TypeError("pass a tuple of words, not a single string")
-        canon = []
-        seen = set()
-        for g in sorted(self.generators, key=word_key):
-            check_word(g)
-            if not g:
-                raise ValueError("generators must be nonempty words")
-            if g not in seen:
-                seen.add(g)
-                canon.append(g)
-        object.__setattr__(self, "generators", tuple(canon))
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __len__(self):
-        return len(self.generators)
-
-    def __bool__(self):
-        return bool(self.generators)
 
 
 @dataclass(frozen=True)
@@ -65,16 +35,10 @@ class Round:
 
 @dataclass(frozen=True)
 class ClosureResult:
-    generators: GeneratorSet
+    generators: tuple[str, ...]
     rounds: tuple[Round, ...]
     pool: tuple[str, ...]
     iterations: int
-
-
-def _as_words(gens):
-    if isinstance(gens, GeneratorSet):
-        return gens.generators
-    return tuple(gens)
 
 
 def prefix_members(gens, w):
@@ -84,13 +48,12 @@ def prefix_members(gens, w):
     each, in increasing order, every generator occurring there marks the
     end it reaches, and ``list.index`` skips to the next marked end.
     """
-    gen_words = _as_words(gens)
     ok = [False] * (len(w) + 1)
     ok[0] = True
     i = 0
     try:
         while True:
-            for g in gen_words:
+            for g in gens:
                 if w.startswith(g, i):
                     ok[i + len(g)] = True
             i = ok.index(True, i + 1)
@@ -101,7 +64,7 @@ def prefix_members(gens, w):
 def suffix_members(gens, w):
     """Table t with t[i] true iff the suffix of ``w`` starting at i is a
     member: the prefix table of the mirrored word and generators, mirrored."""
-    return prefix_members([g[::-1] for g in _as_words(gens)], w[::-1])[::-1]
+    return prefix_members([g[::-1] for g in gens], w[::-1])[::-1]
 
 
 def member(gens, w):
@@ -235,7 +198,7 @@ def cross_factors(gens, words):
 
 
 def irredundant_generators(pool):
-    """Reduce a pool of words to an irredundant generating set.
+    """The irredundant generators of a pool of words, a tuple sorted by ``word_key``.
 
     Words are taken shortest first; a word is kept only when the words
     already kept cannot produce it.  Keeping shorter words first means no
@@ -246,7 +209,7 @@ def irredundant_generators(pool):
     for x in sorted(set(pool), key=word_key):
         if x and not member(chosen, x):
             chosen.append(x)
-    return GeneratorSet(tuple(chosen))
+    return tuple(chosen)
 
 
 def _non_members(gens, words):
@@ -267,7 +230,7 @@ def _non_members(gens, words):
 def closure(words):
     """Least submonoid closed under both extractions over ``words``.
 
-    >>> closure(["aa"]).generators.generators
+    >>> closure(["aa"]).generators
     ('a',)
     """
     words = [check_word(w) for w in words]
@@ -275,7 +238,7 @@ def closure(words):
         raise EmptyInput("closure needs a nonempty list of nonempty words")
     guard = sum(len(w) * (len(w) + 1) // 2 for w in words) + 2
     pool = set()
-    gens = GeneratorSet()
+    gens = ()
     rounds = []
     for _ in range(guard):
         rep = repeated_factors(gens, words)
@@ -291,7 +254,7 @@ def closure(words):
         # so these and the fresh words generate what the whole pool does,
         # and both reduce to its unique irredundant generators: the
         # indecomposable members, as in any submonoid of a free monoid.
-        gens = irredundant_generators(gens.generators + tuple(fresh))
+        gens = irredundant_generators(gens + tuple(fresh))
     else:
         raise AssertionError("closure did not stabilize inside the subword pool")
     return ClosureResult(

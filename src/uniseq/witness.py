@@ -29,14 +29,15 @@ transitions (push, fold, fire, append) build their states through
 ``_trusted``, which only canonicalizes: they start from valid states and
 produce cells that are valid by construction (a plain letter, or the
 product of reduced words), so re-checking every stored cell on each letter
-would cost O(depth) per letter for nothing.
+would cost O(depth) per letter for nothing.  ``WitnessContext`` checks
+nothing either: its one caller builds it from an analysis that holds.
 """
 
 import hashlib
 import random
 from dataclasses import dataclass
 
-from .conditions import Decomposition, analyze_family
+from .conditions import analyze_family
 from .errors import (
     AlphabetError,
     AmbiguousCollapse,
@@ -46,7 +47,6 @@ from .errors import (
     VerificationFailure,
 )
 from .families import MAX_BOUND
-from .submonoid import GeneratorSet
 from .words import check_word, word_key
 
 BASE = "base"
@@ -225,24 +225,17 @@ def seeded_targets(seed, count):
 class WitnessContext:
     """Immutable data the machine folds over: the irredundant generators
     of the family's submonoid, the per-index decompositions, and one
-    target map per index."""
+    target map per index.  It trusts its one caller, ``verify_witness``:
+    ``analyze_family`` numbers the decompositions 1..N, ``decompose`` gives
+    each a nonempty middle over {a, b}, exactly ``bound`` targets are sliced,
+    and equal middles fail ``middle-unique`` before any context is built."""
 
     def __init__(self, generators, decompositions, targets):
-        self.generators = GeneratorSet(generators).generators
-        self.decompositions = tuple(decompositions)
+        self.generators = tuple(generators)
         self.targets = tuple(targets)
-        for n, dec in enumerate(self.decompositions, 1):
-            if not isinstance(dec, Decomposition) or dec.index != n:
-                raise ValueError("decompositions must be indexed 1..k in order")
-            if not is_positive(dec.middle):
-                raise ValueError("decomposition middles must be nonempty plain words")
-        if len(self.targets) != len(self.decompositions):
-            raise ValueError("need exactly one target per decomposition")
         self._gen_keys = frozenset(self.generators)
         self._gen_tails = _suffix_closure(self.generators)
-        self._middle_map = {d.middle: d for d in self.decompositions}
-        if len(self._middle_map) != len(self.decompositions):
-            raise AmbiguousCollapse("two decompositions share a middle word")
+        self._middle_map = {d.middle: d for d in decompositions}
         self._middle_tails = _suffix_closure(self._middle_map)
 
 
@@ -378,22 +371,22 @@ def sample_states(count, seed):
     return out
 
 
-def generator_products(generators, max_len=24, limit=40):
-    """Nonempty products of the generators, shortest first, capped."""
+def generator_products(generators):
+    """Up to 40 nonempty products of the generators, at most 24 letters long, shortest first."""
     out = []
     seen = {""}
     frontier = [""]
-    while frontier and len(out) < limit:
+    while frontier and len(out) < 40:
         next_frontier = []
         for w in sorted(frontier, key=word_key):
             for g in sorted(generators, key=word_key):
                 p = w + g
-                if len(p) <= max_len and p not in seen:
+                if len(p) <= 24 and p not in seen:
                     seen.add(p)
                     out.append(p)
                     next_frontier.append(p)
         frontier = next_frontier
-    return sorted(out, key=word_key)[:limit]
+    return sorted(out, key=word_key)[:40]
 
 
 def _extends_with(result, start, word):
@@ -458,10 +451,12 @@ def verify_witness(family, bound, targets, samples):
     must be deterministic, and up to (3N + 2P) * S states stay alive until
     the call returns (N words, P generator products, S samples).
 
-    Raises HypothesisNotVerified when the family fails its condition
-    check, and VerificationFailure (carrying the partial report) on the
-    first mismatch.
+    Raises ValueError when a sample repeats, HypothesisNotVerified when the
+    family fails its condition check, and VerificationFailure (carrying the
+    partial report) on the first mismatch.
     """
+    if len(set(samples)) != len(samples):
+        raise ValueError("the sampled states must be distinct")
     analysis = analyze_family(family, bound)
     if not analysis.verdict.holds or analysis.decompositions is None:
         raise HypothesisNotVerified(

@@ -26,7 +26,6 @@ from uniseq.errors import AmbiguousCollapse, HypothesisNotVerified, Verification
 from uniseq.families import Literal, SequenceFamily, instantiate_many
 from uniseq.submonoid import (
     ClosureResult,
-    GeneratorSet,
     Round,
     irredundant_generators,
     member,
@@ -162,7 +161,7 @@ def closure_reference(words):
     generators from the whole pool every round."""
     guard = sum(len(w) * (len(w) + 1) // 2 for w in words) + 2
     pool = set()
-    gens = GeneratorSet()
+    gens = ()
     rounds = []
     for _ in range(guard):
         rep = repeated_factors_reference(gens, words)

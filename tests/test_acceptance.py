@@ -45,7 +45,7 @@ def test_criterion_1_closure_reproduction():
         start = time.perf_counter()
         result = closure(instantiate_many(ALTERNATING, 5))
         elapsed = time.perf_counter() - start
-        assert result.generators.generators == ("ab",)
+        assert result.generators == ("ab",)
         assert set(result.rounds[0].repeated) == {"", "ab"}
         assert set(result.rounds[0].cross) == {"", "ab"}
         assert elapsed < 1.0
@@ -59,7 +59,7 @@ def test_criterion_2_corollary_suite():
             trivial = closure(instantiate_many(family, 10))
             elapsed = time.perf_counter() - start
             assert verdict.holds
-            assert trivial.generators.generators == ()
+            assert trivial.generators == ()
             assert elapsed < 1.0
 
 
@@ -67,7 +67,7 @@ def test_criterion_3_theorem_suite():
     with criterion(3, "theorem suite"):
         analysis = analyze_family(ALTERNATING, 5)
         assert analysis.verdict.holds
-        generators = analysis.closure.generators.generators
+        generators = analysis.closure.generators
         for n, dec in enumerate(analysis.decompositions, 1):
             assert dec.prefix == "ab"
             assert dec.suffix == "ab"

@@ -327,6 +327,38 @@ def test_ground_that_lists_a_point_twice_is_a_usage_error(capsys):
     assert err == "error: ground '1,1,2' lists a point twice\n"
 
 
+def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    deep = "[" * 1000
+    assert cli.main(["closure", str(path)]) == 2
+    assert cli.main(["blocks", "--ground", "1,2", "--perm", deep]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: {path}: JSON nested too deeply",
+        f"error: perm {deep!r} is nested too deeply",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "solve -w a --target=--",
+        "blocks --ground=--",
+        "blocks --ground 1 --perm=--",
+        "closure banach --bound=--",
+        "witness banach --samples=--",
+        "solve -w a -t 0 --max-set-size=--",
+        "witness banach --seed=--",
+        "closure banach --format=--",
+    ],
+)
+def test_the_option_value_double_dash_is_a_usage_error(capsys, argv):
+    code = cli.main(argv.split())
+    assert (code, *capsys.readouterr()) == (2, "", "error: '--' is not a valid option value\n")
+
+
 @pytest.mark.parametrize("samples", [0, -5, MAX_SAMPLES + 1])
 def test_witness_sample_count_out_of_range_is_a_usage_error(capsys, samples):
     code = cli.main(["witness", "banach", "--samples", str(samples)])

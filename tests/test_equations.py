@@ -26,6 +26,13 @@ def test_squaring_the_identity():
     assert evaluate("aa", {"a": IDENT2}) == IDENT2
 
 
+def test_evaluate_raises_on_a_bad_word_instead_of_checking_it():
+    with pytest.raises(KeyError):
+        evaluate("ac", {"a": IDENT2, "b": IDENT2})
+    with pytest.raises(IndexError):
+        evaluate("", {"a": IDENT2, "b": IDENT2})
+
+
 def test_swap_has_no_square_root_on_two_points():
     maps = list(all_maps(2))
     assert all(compose_maps(g, g) != SWAP2 for g in maps)
@@ -56,6 +63,8 @@ def test_cap_and_input_validation():
         solve(["a"], [(0, 2)], 2)
     with pytest.raises(ValueError):
         solve([""], [(0, 1)], 2)
+    with pytest.raises(ValueError):
+        solve(["ac"], [(0, 1)], 2)
 
 
 def test_identical_calls_return_identical_solutions():

@@ -6,7 +6,6 @@ from helpers import satisfies_conditions, submonoid_members
 from uniseq.errors import EmptyInput
 from uniseq.families import ALTERNATING, BANACH, instantiate_many
 from uniseq.submonoid import (
-    GeneratorSet,
     closure,
     cross_factors,
     irredundant_generators,
@@ -56,19 +55,19 @@ def test_cross_factors_uses_indices_not_words():
 
 def test_closure_alternating_family():
     result = closure(instantiate_many(ALTERNATING, 3))
-    assert result.generators.generators == ("ab",)
+    assert result.generators == ("ab",)
     assert set(result.rounds[0].repeated) == {"", "ab"}
     assert set(result.rounds[0].cross) == {"", "ab"}
 
 
 def test_closure_banach_family_is_trivial():
     result = closure(instantiate_many(BANACH, 3))
-    assert result.generators.generators == ()
+    assert result.generators == ()
     assert result.iterations == 1
 
 
 def test_closure_single_square_word():
-    assert closure(["aa"]).generators.generators == ("a",)
+    assert closure(["aa"]).generators == ("a",)
 
 
 def test_closure_rejects_empty_inputs():
@@ -79,14 +78,15 @@ def test_closure_rejects_empty_inputs():
 
 
 def test_irredundant_small_cases():
-    assert irredundant_generators({"", "ab", "abab"}).generators == ("ab",)
-    assert irredundant_generators({""}).generators == ()
-    assert irredundant_generators({"a", "aa", "ab"}).generators == ("a", "ab")
+    assert irredundant_generators({"", "ab", "abab"}) == ("ab",)
+    assert irredundant_generators({""}) == ()
+    assert irredundant_generators({"a", "aa", "ab"}) == ("a", "ab")
+    assert irredundant_generators(["ba", "ab", "ab", "a"]) == ("a", "ab", "ba")
 
 
 @given(st.sets(words_st, max_size=5))
 def test_irredundant_generates_the_pool_without_redundancy(pool):
-    kept = irredundant_generators(pool).generators
+    kept = irredundant_generators(pool)
     for w in pool:
         assert member(kept, w)
     for i, t in enumerate(kept):
@@ -140,12 +140,3 @@ def test_closure_is_least_among_condition_satisfying_sets(words):
 @given(words_st, words_st)
 def test_concatenation_never_shrinks(x, y):
     assert len(x + y) >= max(len(x), len(y))
-
-
-def test_generator_set_is_canonical():
-    gens = GeneratorSet(("ba", "ab", "ab", "a"))
-    assert gens.generators == ("a", "ab", "ba")
-    with pytest.raises(ValueError):
-        GeneratorSet(("",))
-    with pytest.raises(TypeError):
-        GeneratorSet("ab")

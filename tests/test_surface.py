@@ -2,10 +2,11 @@
 
 Every public top-level function and class in ``src/uniseq`` must have a
 caller in the package or in the benchmark modules that import it
-(``perfbench/run.py`` and ``perfbench/trace.py``), so code that only tests
-use does not accumulate in ``src/``; the package namespace holds exactly
-the API the README documents, and the README's library example runs as
-written.
+(``perfbench/run.py`` and ``perfbench/trace.py``), and every defaulted
+parameter of a public function must be passed by some call there, so code
+and knobs that only tests use do not accumulate in ``src/``; the package
+namespace holds exactly the API the README documents, and the README's
+library example runs as written.
 """
 
 import ast
@@ -47,6 +48,51 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     assert len(defined) >= 50, sorted(defined)
     uncalled = sorted(f"{path}:{name}" for name, path in defined.items() if name not in used)
     assert not uncalled, f"public names nothing in src/ or the benchmark uses: {uncalled}"
+
+
+def _defaulted_parameters(tree):
+    """(function, parameter, position) for each defaulted parameter of a
+    public top-level function; keyword-only parameters have no position."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for k in range(first, len(positional)):
+                yield node.name, positional[k].arg, k
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def _passes(call, name, param, position):
+    """Does ``call`` call ``name`` and pass ``param``, by position or by
+    keyword (``*args`` and ``**kwargs`` count as passing)?"""
+    func = call.func
+    if getattr(func, "id", getattr(func, "attr", None)) != name:
+        return False
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    defaulted = []
+    calls = []
+    for path in CALLERS:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        if path in SOURCES:
+            defaulted.extend(_defaulted_parameters(tree))
+        calls.extend(node for node in ast.walk(tree) if isinstance(node, ast.Call))
+    assert defaulted
+    unpassed = sorted(
+        f"{name}({param})"
+        for name, param, position in defaulted
+        if not any(_passes(call, name, param, position) for call in calls)
+    )
+    assert not unpassed, f"defaulted parameters no call in src/ or the benchmark passes: {unpassed}"
 
 
 def test_every_exported_name_resolves():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import TableTarget, eval_hom_reference, verify_witness_reference
-from uniseq import witness
+from helpers import TableTarget, eval_hom_reference, explicit_family, verify_witness_reference
+from uniseq import conditions, witness
 from uniseq.conditions import analyze_family
 from uniseq.errors import (
     AmbiguousCollapse,
@@ -22,6 +22,7 @@ from uniseq.families import (
     Power,
     SequenceFamily,
 )
+from uniseq.submonoid import ClosureResult
 from uniseq.witness import (
     BASE,
     MAX_SAMPLES,
@@ -132,14 +133,14 @@ def test_generator_evaluation_appends_to_the_innermost_cell():
 
 def test_base_and_targeted_modes_agree_on_generator_products():
     _, ctx = alternating_ctx()
-    for v in generator_products(ctx.generators, max_len=12):
+    for v in [p for p in generator_products(ctx.generators) if len(p) <= 12]:
         for state in sample_states(10, 7):
             assert eval_hom(v, state, BASE, ctx) == eval_hom(v, state, TARGETED, ctx)
 
 
 def test_firing_is_inert_along_generator_product_paths():
     _, ctx = alternating_ctx()
-    for v in generator_products(ctx.generators, max_len=8):
+    for v in [p for p in generator_products(ctx.generators) if len(p) <= 8]:
         for state in sample_states(5, 11):
             current = state
             for ch in v:
@@ -180,7 +181,7 @@ def test_evaluation_matches_the_validating_reference(family):
     words = (
         analysis.words
         + tuple(d.middle for d in analysis.decompositions)
-        + tuple(generator_products(ctx.generators, max_len=12, limit=8))
+        + tuple([p for p in generator_products(ctx.generators) if len(p) <= 12][:8])
     )
     for state in sample_states(12, 5):
         for w in words:
@@ -293,10 +294,33 @@ def test_verification_rejects_the_mirrored_orientation():
     assert "substitute" in str(info.value)
 
 
+def test_equal_middles_stop_verification_before_a_context_is_built(monkeypatch):
+    # A middle two words share is a cross factor, so a real closure makes
+    # it a member; a closure that adjoins nothing leaves every whole word
+    # as its own middle.
+    monkeypatch.setattr(conditions, "closure", lambda words: ClosureResult((), (), (), 1))
+
+    def no_context(*args):
+        raise AssertionError("a context was built for equal middles")
+
+    monkeypatch.setattr(witness, "WitnessContext", no_context)
+    family = explicit_family(["aab", "aab"])
+    assert [d.middle for d in analyze_family(family, 2).decompositions] == ["aab", "aab"]
+    with pytest.raises(HypothesisNotVerified) as info:
+        verify_witness(family, 2, seeded_targets(0, 2), sample_states(3, 0))
+    assert [v.condition for v in info.value.verdict.violations] == ["middle-unique"] * 2
+
+
+def test_repeated_sample_states_are_rejected():
+    samples = sample_states(5, 0)
+    with pytest.raises(ValueError, match="distinct"):
+        verify_witness(ALTERNATING, 3, seeded_targets(0, 3), samples + samples[:1])
+
+
 def test_verification_with_a_three_letter_generator():
     family = SequenceFamily(((Literal("aaba"), Power("aab", 1, 1), Literal("baab")),))
     analysis = analyze_family(family, 3)
-    assert analysis.closure.generators.generators == ("aab",)
+    assert analysis.closure.generators == ("aab",)
     report = verify_witness(family, 3, seeded_targets(4, 3), sample_states(25, 4))
     assert report.passed
     assert report.checks["append"] > 0
@@ -414,7 +438,7 @@ def test_an_injected_failure_gives_the_reference_report(monkeypatch, check, inde
     analysis = analyze_family(ALTERNATING, 3)
     inputs = {
         "words": analysis.words,
-        "products": generator_products(analysis.closure.generators.generators),
+        "products": generator_products(analysis.closure.generators),
         "middles": [d.middle for d in analysis.decompositions],
     }[source]
     samples = sample_states(6, 8)
