@@ -233,6 +233,8 @@ def cmd_blocks(args):
             raise ParseError(f"perm {text!r} is not valid JSON: {exc.msg}")
         except RecursionError:
             raise ParseError(f"perm {text!r} is nested too deeply") from None
+        except ValueError:  # int() past sys.get_int_max_str_digits()
+            raise ParseError("--perm: an integer has too many digits") from None
         if not isinstance(pairs, list) or not all(
             isinstance(p, list) and len(p) == 2 for p in pairs
         ):

@@ -231,8 +231,12 @@ def load_family(path):
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not UTF-8 text") from None
         except RecursionError:
             raise ParseError(f"{path}: JSON nested too deeply") from None
+        except ValueError:  # int() past sys.get_int_max_str_digits()
+            raise ParseError(f"{path}: an integer has too many digits") from None
     return family_from_json(data)
 
 

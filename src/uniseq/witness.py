@@ -36,6 +36,7 @@ nothing either: its one caller builds it from an analysis that holds.
 import hashlib
 import random
 from dataclasses import dataclass
+from os.path import commonprefix
 
 from .conditions import analyze_family
 from .errors import (
@@ -186,21 +187,17 @@ class SeededTarget:
     """Deterministic pseudo-random total map on states.
 
     The output state is built from a bounded pool of cell values using a
-    hash of (seed, index, canonical encoding of the input state), then
-    memoized.  Evaluation is a pure function: equal inputs always produce
-    equal outputs, regardless of call order or interleaving.
+    hash of (seed, index, canonical encoding of the input state).
+    Evaluation is a pure function: equal inputs always produce equal
+    outputs, regardless of call order or interleaving.
     """
 
     def __init__(self, seed, index):
         self.seed = seed
         self.index = index
-        self._memo = {}
 
     def __call__(self, state):
-        got = self._memo.get(state)
-        if got is None:
-            got = self._memo.setdefault(state, self._build(state))
-        return got
+        return self._build(state)
 
     def _build(self, state):
         text = f"{self.seed}|{self.index}|{state_key(state)}"
@@ -431,13 +428,22 @@ class WitnessReport:
         return self.failure is None
 
 
+def _read(run):
+    if isinstance(run, Exception):
+        raise run
+    return run
+
+
 def verify_witness(family, bound, targets, samples):
     """Exercise the machine on sampled states and check, exactly:
 
     * target equality: in targeted mode every family word acts as its
       target map on every sample;
     * append: in base mode every product of generators appends itself to
-      the innermost cell, hence acts injectively on the sample;
+      the innermost cell, hence acts injectively on the sample (states
+      encode cell sequences one to one, and right multiplication by v is a
+      bijection of the free group; stripping merges (t, (t v^-1,)) into
+      (t, ()), whose own image (t, (t v,)) keeps its entry);
     * agreement: base and targeted modes agree on generator products;
       with no generators these two do not apply and the report's
       ``not_applicable`` names them;
@@ -446,10 +452,13 @@ def verify_witness(family, bound, targets, samples):
     * firing step: evaluating a middle in targeted mode equals the base
       evaluation followed by one firing pass.
 
-    Checks share their runs: each (word, sample, mode) goes through
-    ``eval_hom`` once per call, where a check first needs it, so targets
-    must be deterministic, and up to (3N + 2P) * S states stay alive until
-    the call returns (N words, P generator products, S samples).
+    Sample-major walk: per sample and mode, the words run in sorted order,
+    each shared prefix stepped once.  A first-failure table keeps, of the
+    rows (check, item) in the order above, only the earliest to fail or
+    raise, with its first bad sample; it re-raises a recorded exception or
+    re-runs the failing cell for its report, so the report is the
+    row-by-row one.  Targets must be deterministic; a call holds
+    O(longest word + rows) states, whatever the sample count.
 
     Raises ValueError when a sample repeats, HypothesisNotVerified when the
     family fails its condition check, and VerificationFailure (carrying the
@@ -478,71 +487,100 @@ def verify_witness(family, bound, targets, samples):
         bound, len(samples), {name: 0 for name in _CHECK_NAMES},
         not_applicable=() if products else ("append", "agreement"),
     )
-
-    runs = {}
-
-    def run(word, x, mode):
-        key = (word, x, mode)
-        got = runs.get(key)
-        if got is None:
-            got = runs[key] = eval_hom(word, x, mode, ctx)
-        return got
-
-    def check(name, index, x, got, expected, ok=None):
-        if not (got == expected if ok is None else ok):
-            report.failure = {
-                "check": name,
-                "index": index,
-                "state": state_to_json(x),
-                "got": state_to_json(got),
-                "expected": state_to_json(expected),
-            }
-            raise VerificationFailure(
-                f"{name} check failed at index {index} on {state_key(x)!r}", report
-            )
-        report.checks[name] += 1
-
-    for n, (w, target) in enumerate(zip(analysis.words, ctx.targets), 1):
-        for x in samples:
-            check("target", n, x, run(w, x, TARGETED), target(x))
-
-    for v in products:
-        outputs = set()
-        for x in samples:
-            got = run(v, x, BASE)
-            check("append", None, x, got, _append_innermost(x, v))
-            outputs.add(got)
-        if len(outputs) != len(samples):
-            report.failure = {"check": "append-injective", "index": None, "product": v}
-            raise VerificationFailure(
-                f"append map for {v!r} is not injective on the sample", report
-            )
-
-    for v in products:
-        for x in samples:
-            check("agreement", None, x, run(v, x, TARGETED), run(v, x, BASE))
-
+    middles = [d.middle for d in analysis.decompositions]
+    plans = {
+        mode: [(w, len(commonprefix((p, w)))) for p, w in zip([""] + words, words)]
+        for mode, words in ((TARGETED, sorted({*analysis.words, *products, *middles})),
+                            (BASE, sorted({*products, *middles})))
+    }
+    rows = [("target", n, w) for n, w in enumerate(analysis.words, 1)]
+    rows += [(name, None, v) for name in ("append", "agreement") for v in products]
+    clash = None
     for dec in analysis.decompositions:
-        for length in range(1, len(dec.middle) + 1):
-            prefix = dec.middle[:length]
-            if any(g.endswith(prefix) for g in ctx.generators):
-                report.failure = {
-                    "check": "stacking-hypothesis",
-                    "index": dec.index,
-                    "prefix": prefix,
-                }
-                raise VerificationFailure(
-                    f"middle {dec.middle!r} shares a prefix with a generator suffix",
-                    report,
-                )
-        for x in samples:
-            got = run(dec.middle, x, BASE)
-            check("stacking", dec.index, x, got, x, ok=_extends_with(got, x, dec.middle))
+        prefixes = (dec.middle[:k] for k in range(1, len(dec.middle) + 1))
+        prefix = next((p for p in prefixes if any(g.endswith(p) for g in ctx.generators)), None)
+        if prefix:
+            clash = dec, prefix
+            break
+        rows.append(("stacking", dec.index, dec.middle))
+    else:
+        rows += [("firing_step", d.index, d.middle) for d in analysis.decompositions]
 
-    for dec in analysis.decompositions:
-        for x in samples:
-            lhs = run(dec.middle, x, TARGETED)
-            rhs = fire_target(run(dec.middle, x, BASE), ctx)
-            check("firing_step", dec.index, x, lhs, rhs)
+    def walk(x):
+        # Each word resumes after the prefix it shares with the one before.
+        # An exception a step raises is the result of its word and of the
+        # next words sharing the prefix through that letter.
+        runs = {}
+        for mode, plan in plans.items():
+            results = runs[mode] = {}
+            path = [x]
+            for word, shared in plan:
+                del path[shared + 1:]
+                state = path[-1]
+                if not isinstance(state, Exception):
+                    try:
+                        for ch in word[shared:]:
+                            state = step(state, ch, mode, ctx)
+                            path.append(state)
+                    except Exception as exc:  # raised by the row that reads it
+                        path.append(state := exc)
+                results[word] = state
+        return runs
 
+    def cell(row, x, runs):
+        # Runs are read and targets called in the row-by-row order.
+        name, index, word = row
+        got = _read(runs[BASE if name in ("append", "stacking") else TARGETED][word])
+        if name == "stacking":
+            return got, x, _extends_with(got, x, word)
+        if name == "target":
+            expected = ctx.targets[index - 1](x)
+        elif name == "append":
+            expected = _append_innermost(x, word)
+        else:
+            expected = _read(runs[BASE][word])
+            if name == "firing_step":
+                expected = fire_target(expected, ctx)
+        return got, expected, got == expected
+
+    first, bad, raised = len(rows), None, None
+    for i, x in enumerate(samples):
+        if not first:
+            break
+        runs = walk(x)
+        for r in range(first):
+            try:
+                if cell(rows[r], x, runs)[2]:
+                    continue
+                raised = None
+            except Exception as exc:  # raised below if its row is reported
+                raised = exc
+            first, bad = r, i
+            break
+
+    for name, _, _ in rows[:first]:
+        report.checks[name] += len(samples)
+    if first < len(rows):
+        name, index, _ = rows[first]
+        report.checks[name] += bad
+        if raised is not None:
+            raise raised
+        x = samples[bad]
+        got, expected, _ = cell(rows[first], x, walk(x))
+        report.failure = {
+            "check": name,
+            "index": index,
+            "state": state_to_json(x),
+            "got": state_to_json(got),
+            "expected": state_to_json(expected),
+        }
+        raise VerificationFailure(
+            f"{name} check failed at index {index} on {state_key(x)!r}", report
+        )
+    if clash:
+        dec, prefix = clash
+        report.failure = {"check": "stacking-hypothesis", "index": dec.index, "prefix": prefix}
+        raise VerificationFailure(
+            f"middle {dec.middle!r} shares a prefix with a generator suffix", report
+        )
     return report

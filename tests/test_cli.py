@@ -342,6 +342,33 @@ def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'\xff\xfe{"alphabet": "ab"}', "not UTF-8 text"),
+        (
+            b'{"alphabet": "ab", "templates": [[{"pow": {"base": "ab", "c": '
+            + b"7" * 5000 + b', "d": 0}}]]}',
+            "an integer has too many digits",
+        ),
+    ],
+    ids=["not-utf8", "long-integer"],
+)
+def test_unreadable_family_file_is_a_usage_error_naming_the_file(capsys, tmp_path, content, message):
+    path = tmp_path / "f.json"
+    path.write_bytes(content)
+    code = cli.main(["closure", str(path), "--bound", "3"])
+    assert (code, *capsys.readouterr()) == (2, "", f"error: {path}: {message}\n")
+
+
+def test_perm_with_a_long_integer_is_a_usage_error_naming_the_option(capsys):
+    perm = "[[1," + "9" * 5000 + "]]"
+    code = cli.main(["blocks", "--ground", "1,2", "--perm", perm])
+    assert (code, *capsys.readouterr()) == (
+        2, "", "error: --perm: an integer has too many digits\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         "solve -w a --target=--",

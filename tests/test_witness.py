@@ -1,8 +1,10 @@
+import gc
+import tracemalloc
 from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from helpers import TableTarget, eval_hom_reference, explicit_family, verify_witness_reference
@@ -52,9 +54,9 @@ Y0 = Atom("y0")
 signed_st = st.text(alphabet="abAB", max_size=8)
 
 
-def alternating_ctx(bound=3):
+def alternating_ctx(bound=3, targets=None):
     analysis = analyze_family(ALTERNATING, bound)
-    targets = tuple(TableTarget() for _ in range(bound))
+    targets = targets or tuple(TableTarget() for _ in range(bound))
     return analysis, WitnessContext(
         analysis.closure.generators, analysis.decompositions, targets
     )
@@ -200,12 +202,10 @@ def test_machine_states_equal_and_hash_like_validated_ones():
     target = SeededTarget(0, 1)
     outputs = [eval_hom("abaab", s, TARGETED, ctx) for s in sample_states(20, 21)]
     images = [target(out) for out in outputs]
-    memo_size = len(target._memo)
     for out, image in zip(outputs, images):
         rebuilt = StackState(out.tail, out.entries)
         assert rebuilt == out and hash(rebuilt) == hash(out)
-        assert target(rebuilt) is image
-    assert len(target._memo) == memo_size
+        assert target(rebuilt) == image
 
 
 def test_ambiguous_fold_is_reported():
@@ -371,22 +371,38 @@ def test_every_two_power_family_passing_the_checks_verifies():
     assert all(not r.not_applicable and r.checks["agreement"] for r in reports)
 
 
-class _Unstable:
-    """Deliberately violates the determinism every target must have."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def __call__(self, state):
-        self.calls += 1
-        if self.calls == 1:
-            return state
-        return StackState("ba", (state_key(state) and "a",))
+MARKER = StackState(Atom("marker"), ("",))
 
 
-def test_verification_failure_carries_a_report():
-    targets = (_Unstable(),) + tuple(TableTarget() for _ in range(2))
+def _last_step(word, sample, mode, ctx):
+    """Arguments of the ``step`` call that ends the run of ``word`` from
+    ``sample``."""
+    before = eval_hom(word[:-1], sample, mode, ctx) if len(word) > 1 else sample
+    return before, word[-1], mode
+
+
+def _fault_steps(monkeypatch, faults):
+    """Make ``witness.step`` return, or raise, ``faults[args]`` on those
+    arguments.  Both verifiers step through this one pure function, so they
+    see the same faulty machine."""
+    real = witness.step
+
+    def faulty(state, letter, mode, ctx):
+        fault = faults.get((state, letter, mode))
+        if fault is None:
+            return real(state, letter, mode, ctx)
+        if isinstance(fault, Exception):
+            raise fault
+        return fault
+
+    monkeypatch.setattr(witness, "step", faulty)
+
+
+def test_verification_failure_carries_a_report(monkeypatch):
+    analysis, ctx = alternating_ctx()
+    targets = tuple(TableTarget() for _ in range(3))
     samples = [StackState(Y0, ("",))] + sample_states(4, 2)
+    _fault_steps(monkeypatch, {_last_step(analysis.words[0], samples[0], TARGETED, ctx): MARKER})
     with pytest.raises(VerificationFailure) as info:
         verify_witness(ALTERNATING, 3, targets, samples)
     report = info.value.report
@@ -396,11 +412,14 @@ def test_verification_failure_carries_a_report():
 
 
 def _outcome(verify, family, bound, targets, samples):
-    """Check counts, inapplicable checks and failure of one verification."""
+    """Check counts, inapplicable checks and failure of one verification,
+    or the message of the collapse it raised."""
     try:
         report = verify(family, bound, targets, samples)
     except VerificationFailure as exc:
         report = exc.report
+    except AmbiguousCollapse as exc:
+        return "raised", str(exc)
     return report.checks, report.not_applicable, report.failure
 
 
@@ -418,7 +437,26 @@ def test_shared_runs_give_the_reference_report(family, bound):
     assert got[2] is None
 
 
-MARKER = StackState(Atom("marker"), ("",))
+def _alternating_runs():
+    """The words, generator products and middles of alternating at bound 3."""
+    analysis = analyze_family(ALTERNATING, 3)
+    return {
+        "words": analysis.words,
+        "products": generator_products(analysis.closure.generators),
+        "middles": [d.middle for d in analysis.decompositions],
+    }
+
+
+def _faulty_outcomes(monkeypatch, faults, samples):
+    """Outcomes of both verifiers on alternating at bound 3 with
+    ``faults[(word, sample, mode)]`` ending that run."""
+    _, ctx = alternating_ctx(targets=seeded_targets(0, 3))
+    steps = {_last_step(word, samples[k], mode, ctx): f for (word, k, mode), f in faults.items()}
+    _fault_steps(monkeypatch, steps)
+    return [
+        _outcome(verify, ALTERNATING, 3, seeded_targets(0, 3), samples)
+        for verify in (verify_witness, verify_witness_reference)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -432,25 +470,13 @@ MARKER = StackState(Atom("marker"), ("",))
     ],
 )
 def test_an_injected_failure_gives_the_reference_report(monkeypatch, check, index, mode, source):
-    # One run, of the second word of its kind on the fourth sample, returns
-    # a state no check expects; both loops must stop at the same check with
+    # The run of the second word of its kind on the fourth sample ends in a
+    # state no check expects; both loops must stop at the same check with
     # the same partial counts.
-    analysis = analyze_family(ALTERNATING, 3)
-    inputs = {
-        "words": analysis.words,
-        "products": generator_products(analysis.closure.generators),
-        "middles": [d.middle for d in analysis.decompositions],
-    }[source]
+    inputs = _alternating_runs()[source]
     samples = sample_states(6, 8)
-    bad = (inputs[1], samples[3], mode)
-    real = witness.eval_hom
-
-    def corrupted(word, state, mode, ctx):
-        return MARKER if (word, state, mode) == bad else real(word, state, mode, ctx)
-
-    monkeypatch.setattr(witness, "eval_hom", corrupted)
-    got = _outcome(verify_witness, ALTERNATING, 3, seeded_targets(0, 3), samples)
-    assert got == _outcome(verify_witness_reference, ALTERNATING, 3, seeded_targets(0, 3), samples)
+    got, expected = _faulty_outcomes(monkeypatch, {(inputs[1], 3, mode): MARKER}, samples)
+    assert got == expected
     failure = got[2]
     assert (failure["check"], failure["index"]) == (check, index)
     assert failure["state"] == state_to_json(samples[3])
@@ -458,27 +484,130 @@ def test_an_injected_failure_gives_the_reference_report(monkeypatch, check, inde
 
 
 @pytest.mark.parametrize(
-    "family, bound, samples, calls",
+    "raise_on, fail_on, check",
     [
-        # 3 words targeted, 12 products in both modes, 3 middles in both
-        # modes: 20 * (3 + 24 + 6) runs.
-        (ALTERNATING, 3, 20, 660),
-        # No generators, and every middle is its whole word, so the firing
-        # check's targeted runs are the target check's: 10 * (4 + 4) runs.
-        (SIERPINSKI, 4, 10, 80),
+        # firing_step raises on the first sample and append fails on the
+        # last: checked row by row, append comes first, so it is the report.
+        ((0, "middles", TARGETED), (5, "products", BASE), "append"),
+        # target fails on the second sample, firing_step raises on the last.
+        ((5, "middles", TARGETED), (1, "words", TARGETED), "target"),
+    ],
+    ids=["earlier-check-on-a-later-sample", "earlier-check-on-an-earlier-sample"],
+)
+def test_the_earliest_check_outranks_a_later_check_raising(monkeypatch, raise_on, fail_on, check):
+    inputs = _alternating_runs()
+    (k, source, mode), (bad, bad_source, bad_mode) = raise_on, fail_on
+    faults = {
+        (inputs[source][0], k, mode): AmbiguousCollapse("injected"),
+        (inputs[bad_source][1], bad, bad_mode): MARKER,
+    }
+    samples = sample_states(6, 8)
+    got, expected = _faulty_outcomes(monkeypatch, faults, samples)
+    assert got == expected
+    assert got[2]["check"] == check
+    assert got[2]["state"] == state_to_json(samples[bad])
+
+
+@pytest.mark.parametrize(
+    "prefix, mode",
+    # Shared by the three words and by the three middles; sorted, each
+    # group runs in the reverse of its row order, and the word after the
+    # first leaves it with a b, so it must not resume below the a that
+    # raised.
+    [("abaa", TARGETED), ("aaba", BASE)],
+)
+def test_an_exception_at_a_shared_prefix_gives_the_reference_outcome(monkeypatch, prefix, mode):
+    # The step ending ``prefix`` on the third sample raises.  The first run
+    # through it records the exception, the runs sorted after it that share
+    # the prefix inherit it, and the earliest row reading one raises it.
+    faults = {(prefix, 2, mode): AmbiguousCollapse("injected")}
+    got, expected = _faulty_outcomes(monkeypatch, faults, sample_states(6, 8))
+    assert got == expected == ("raised", "injected")
+
+
+def _trie_size(words):
+    return len({w[:k] for w in words for k in range(1, len(w) + 1)})
+
+
+@pytest.mark.parametrize(
+    "family, bound, samples, letters",
+    [
+        # Targeted mode steps the 52 distinct prefixes of 3 words, 12
+        # products and 3 middles, base mode the 35 of the products and
+        # middles: 20 * (52 + 35) letters.
+        (ALTERNATING, 3, 20, 1740),
+        # No generators, and every middle is its whole word: 10 * (57 + 57).
+        (SIERPINSKI, 4, 10, 1140),
     ],
     ids=["alternating", "sierpinski"],
 )
-def test_no_run_is_evaluated_twice(monkeypatch, family, bound, samples, calls):
-    seen = Counter()
-    real = witness.eval_hom
+def test_no_run_is_evaluated_twice(monkeypatch, family, bound, samples, letters):
+    stepped = Counter()
+    real = witness.step
 
-    def counted(word, state, mode, ctx):
-        seen[word, state, mode] += 1
-        return real(word, state, mode, ctx)
+    def counted(state, letter, mode, ctx):
+        stepped[mode] += 1
+        return real(state, letter, mode, ctx)
 
-    monkeypatch.setattr(witness, "eval_hom", counted)
+    monkeypatch.setattr(witness, "step", counted)
     report = verify_witness(family, bound, seeded_targets(1, bound), sample_states(samples, 1))
     assert report.passed
-    assert max(seen.values()) == 1
-    assert sum(seen.values()) == calls
+    analysis = analyze_family(family, bound)
+    shared = generator_products(analysis.closure.generators)
+    shared += [d.middle for d in analysis.decompositions]
+    assert stepped == {
+        TARGETED: samples * _trie_size(list(analysis.words) + shared),
+        BASE: samples * _trie_size(shared),
+    }
+    assert sum(stepped.values()) == letters
+
+
+def test_memory_stays_flat_in_the_sample_count():
+    # CPython keeps up to 2,000 freed tuples of each small size allocated
+    # for reuse, so tracemalloc would count their high-water mark, which
+    # creeps up with the sample count.  Filling those free lists first (with
+    # the collector off, since a full collection empties them) leaves the
+    # states the call keeps alive, which a per-sample run table would grow.
+    samples = sample_states(40, 4)
+
+    def peak(count):
+        spare = [tuple(range(k)) for k in range(1, 20) for _ in range(2000)]
+        del spare
+        tracemalloc.start()
+        try:
+            verify_witness(ALTERNATING, 3, seeded_targets(4, 3), samples[:count])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        small, large = peak(10), peak(40)
+    finally:
+        if collecting:
+            gc.enable()
+    assert large <= 1.25 * small
+
+
+APPEND_PRODUCTS = [
+    (name, v)
+    for name, family in (("alternating", ALTERNATING), ("two-powers", TWO_POWERS))
+    for v in generator_products(analyze_family(family, 3).closure.generators)
+]
+
+
+@settings(max_examples=80)
+@given(st.sampled_from(APPEND_PRODUCTS), st.integers(1, 40), st.integers(0, 10**6), signed_st)
+def test_append_is_injective_on_distinct_states(named, count, seed, tail):
+    # Why verify_witness needs no injectivity check once append passes.
+    name, v = named
+    t = reduce_word(tail)
+    merged = gw_mul(t, gw_inv(v))
+    drawn = {StackState(t), StackState(t, (merged,)), StackState(Y0, (merged,)), StackState(Y0, (t,))}
+    states = set(sample_states(count, seed)) | drawn
+    images = {witness._append_innermost(s, v) for s in states}
+    assert witness._append_innermost(StackState(t, (merged,)), v) == StackState(t)
+    event(f"products of {name}")
+    event(f"{sum(not image.entries for image in images)} image(s) stripped to the tail")
+    assert len(images) == len(states)
