@@ -191,10 +191,18 @@ def cmd_witness(args):
 
 
 def _parse_ints(name, text):
+    """The comma-separated integers of the option ``--name``."""
+    parts = text.split(",")
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(map(int, parts))
     except ValueError:
-        raise ParseError(f"{name} {text!r} must be comma-separated integers")
+        # int() also refuses a numeral with more digits than this limit
+        # (0: no limit); name the option instead of echoing the numeral.
+        limit = sys.get_int_max_str_digits()
+        digits = (part.strip().lstrip("+-").replace("_", "") for part in parts)
+        if limit and any(len(d) > limit and d.isdecimal() for d in digits):
+            raise ParseError(f"--{name}: an integer has too many digits") from None
+        raise ParseError(f"{name} {text!r} must be comma-separated integers") from None
 
 
 def cmd_solve(args):

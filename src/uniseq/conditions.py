@@ -10,6 +10,8 @@ never claim anything about larger indices.
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import groupby, repeat
+from operator import itemgetter
 
 from .errors import SplitViolation
 from .families import instantiate_many
@@ -98,7 +100,10 @@ def analyze_family(family, bound):
     * no middle occurs inside its own member prefix.
 
     A middle occurring inside a different word's member prefix is reported
-    as a warning, not a violation.
+    as a warning, not a violation.  The two middle conditions and the
+    warning come from one sorted trie of the words and middles
+    (``_middle_findings``): O(trie nodes) Python steps plus one step per
+    (middle, word) occurrence, instead of 2N^2 subword tests.
     """
     if bound < 2:
         raise ValueError("family checks need a bound of at least 2")
@@ -114,24 +119,63 @@ def analyze_family(family, bound):
         except SplitViolation:
             decomps.append(None)
             violations.append(Violation("split", (n,), (w,)))
-    for n, dec in enumerate(decomps, 1):
-        if dec is None:
-            continue
-        for m, w in enumerate(words, 1):
-            if n != m and dec.middle in w:
-                violations.append(Violation("middle-unique", (n, m), (dec.middle, w)))
-        if dec.middle in dec.prefix:
-            violations.append(
-                Violation("middle-in-own-prefix", (n,), (dec.middle, dec.prefix))
-            )
-        for m, other in enumerate(decomps, 1):
-            if other is not None and m != n and dec.middle in other.prefix:
-                warnings.append(
-                    Violation("middle-in-other-prefix", (n, m), (dec.middle, other.prefix))
-                )
+    found, warnings = _middle_findings(words, decomps)
+    violations += found
     verdict = Verdict(not violations, bound, tuple(violations), tuple(warnings))
     complete = None if any(d is None for d in decomps) else tuple(decomps)
     return FamilyAnalysis(tuple(words), clo, complete, verdict)
+
+
+def _middle_findings(words, decomps):
+    """The middle-unique and middle-in-own-prefix violations and the
+    middle-in-other-prefix warnings: for each n in order, the pairs (n, m)
+    of middle-unique by m, then n's own prefix, then the warnings by m.
+
+    ``decomps[n]`` is None or splits ``words[n]`` with a nonempty middle.
+    The words and the middles go into one sorted trie (``Automaton``), so
+    each shared prefix is stepped once, and no word is run through the
+    automaton: its path is its trie path.  ``earliest_ends`` gives, at
+    each word's end node, every middle occurring in the word with the end
+    of its first occurrence u.  Prefix m is w_m[:len(prefix m)], so middle
+    n lies inside it exactly when u is at most that length.  With T the
+    trie nodes and H the (middle, word) occurrence pairs, this costs
+    O(T + H log H) steps, instead of testing every middle against every
+    word and every prefix.
+    """
+    middles = [(n, dec.middle) for n, dec in enumerate(decomps) if dec is not None]
+    if not middles:
+        return [], []
+    automaton = Automaton([(w, 0) for w in words] + [(mid, 0) for _, mid in middles], {})
+    automaton.close()
+    ending = {}
+    for (n, _), k in zip(middles, automaton.ends[len(words):]):
+        ending.setdefault(k, []).append(n)
+    earliest = automaton.earliest_ends(ending)
+    hits = sorted(
+        (n, m, u)
+        for m, k in enumerate(automaton.ends[:len(words)])
+        for j, u in earliest[k].items()
+        for n in ending[j]
+    )
+    violations, warnings = [], []
+    for n, group in groupby(hits, itemgetter(0)):
+        dec = decomps[n]
+        ends = {m: u for _, m, u in group}
+        violations.extend(
+            Violation("middle-unique", (n + 1, m + 1), (dec.middle, words[m]))
+            for m in ends if m != n
+        )
+        if ends[n] <= len(dec.prefix):
+            violations.append(
+                Violation("middle-in-own-prefix", (n + 1,), (dec.middle, dec.prefix))
+            )
+        for m, u in ends.items():
+            other = decomps[m]
+            if m != n and other is not None and u <= len(other.prefix):
+                warnings.append(
+                    Violation("middle-in-other-prefix", (n + 1, m + 1), (dec.middle, other.prefix))
+                )
+    return violations, warnings
 
 
 def check_corollary(family, bound):
@@ -142,48 +186,35 @@ def check_corollary(family, bound):
     The empty prefix is excluded; it is a suffix of everything and would
     make the condition vacuous.
 
-    One Aho-Corasick automaton holds all N words.  Running w_m through it
-    meets, at each position, the nodes of every word ending there (a
-    subword), and the failure chain from the final node lists every suffix
-    of w_m that is a prefix of some word.  Taken shortest first, a chain
-    suffix s is the witness for every word that properly extends s and no
-    shorter chain suffix; those words form one range of the sorted word
-    list, which is either wholly claimed by a shorter suffix already or not
-    at all.  Violations come out in (n, m) order, an overlap before a
-    subword.  With L the total word length and V the violation count, this
-    costs O(L + N^2 + V log V) steps plus two binary searches per chain
-    suffix, instead of trying every prefix length of every pair.
+    One Aho-Corasick automaton holds all N words, inserted as one sorted
+    trie, so each shared prefix is stepped once and w_m's path is its trie
+    path.  ``earliest_ends`` gives, at w_m's end node, every word occurring
+    in w_m (a subword), and the failure chain from that node lists every
+    suffix of w_m that is a prefix of some word.  Taken shortest first, a
+    chain suffix s is the witness for every word that properly extends s
+    and no shorter chain suffix; those words form one range of the sorted
+    word list, which is either wholly claimed by a shorter suffix already
+    or not at all.  Violations come out in (n, m) order, an overlap before
+    a subword.  With T the trie nodes, S the subword pairs and V the
+    violation count, this costs a sort, O(T + N^2 + S + V log V) steps and
+    two binary searches per chain suffix, instead of trying every prefix
+    length of every pair.
     """
     if bound < 2:
         raise ValueError("family checks need a bound of at least 2")
     words = instantiate_many(family, bound)
-    automaton = Automaton()
-    ending = {}
-    for n, w in enumerate(words):
-        ending.setdefault(automaton.add(w, n), []).append(n)
+    automaton = Automaton([(w, 0) for w in words], {})
     automaton.close()
-    step, fail, depth = automaton.step, automaton.fail, automaton.depth
-    # nearest[k]: the first node on k's failure chain, k included, where a
-    # word ends (0 if none).
-    nearest = [0] * len(depth)
-    for k in ending:
-        nearest[k] = k
-    for k in automaton.order:
-        if not nearest[k]:
-            nearest[k] = nearest[fail[k]]
+    fail, depth = automaton.fail, automaton.depth
+    ending = {}
+    for n, k in enumerate(automaton.ends):
+        ending.setdefault(k, []).append(n)
+    earliest = automaton.earliest_ends(ending)
     by_text = sorted(range(len(words)), key=words.__getitem__)
     sorted_words = [words[k] for k in by_text]
     found = []
-    met = [-1] * len(depth)
-    for m, wm in enumerate(words):
-        node = 0
-        for letter in wm:
-            node = step[letter][node]
-            k = nearest[node]
-            while k and met[k] != m:
-                met[k] = m
-                found.extend((n, m, 1, words[n]) for n in ending[k] if n != m)
-                k = nearest[fail[k]]
+    for m, (wm, node) in enumerate(zip(words, automaton.ends)):
+        found.extend((n, m, 1, words[n]) for k in earliest[node] for n in ending[k] if n != m)
         chain = []
         while node:
             chain.append(depth[node])
@@ -197,7 +228,7 @@ def check_corollary(family, bound):
             hi = bisect_left(sorted_words, piece + "c", lo)
             if lo < hi and not claimed[lo]:
                 claimed[lo:hi] = b"\1" * (hi - lo)
-                found.extend((by_text[k], m, 0, piece) for k in range(lo, hi))
+                found.extend(zip(by_text[lo:hi], repeat(m), repeat(0), repeat(piece)))
     found.sort()
     violations = tuple(
         Violation(

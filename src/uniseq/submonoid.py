@@ -19,10 +19,10 @@ Generating sets are plain tuples of words.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
 
 from .errors import EmptyInput
-from .words import Automaton, check_word, word_key
+from .words import SHARED, Automaton, check_word, word_key
 
 
 @dataclass(frozen=True)
@@ -161,39 +161,44 @@ def cross_factors(gens, words):
     words count separately).  The empty word always qualifies.
 
     One Aho-Corasick automaton holds w_i[p:] for every word w_i and every
-    p where w_i[:p] is a member; each node is labelled with the index i
-    that inserted it, or ``SHARED`` once a second index has passed.  Each
-    w_j is run through it once.  At every u where w_j[u:] is a member, the
-    failure chain from the current node lists each suffix of w_j[:u] that
-    follows a member prefix in some word, and those on nodes not owned by
-    j alone are cross factors.  A node already visited for w_j had its
-    whole chain visited, so the walk stops there.  With P the total length
-    of the inserted pieces, this costs O(P) to build, O(sum of word
-    lengths) to run, and at most one visit per node and word on the chains;
-    no substring sets are built and no pairs of words are intersected.
+    p where w_i[:p] is a member, each distinct piece once, labelled i, or
+    ``SHARED`` when two words have it; each node is owned by the index
+    whose pieces pass it, or ``SHARED`` once a second index has passed.
+    The pieces go in sorted, each resuming at the prefix it shares with
+    the one before, so every shared prefix is stepped once.  The empty
+    prefix is a member, so w_j itself is a piece, and the automaton's state
+    after w_j[:u] is the node at depth u on w_j's own path: no word is run
+    through the automaton.  Only the path nodes at the u where w_j[u:] is a
+    member are kept.  From each, the failure chain lists each suffix of
+    w_j[:u] that follows a member prefix in some word, and those on nodes
+    not owned by j alone are cross factors.  A node already visited for
+    w_j had its whole chain visited, so the walk stops there.  With P the
+    total length of the pieces, this costs a sort and O(log) slice
+    comparisons per piece, O(nodes) <= O(P) Python steps to build, and at
+    most one visit per node and word on the chains; no substring sets are
+    built and no pairs of words are intersected.
     """
-    automaton = Automaton()
-    suffix_tables = []
+    labels = {}  # piece -> the index of its one word, or SHARED
     for i, w in enumerate(words):
-        pre = prefix_members(gens, w)
-        for p in compress(range(len(w)), pre):
-            automaton.add(w, i, p)
-        suffix_tables.append(suffix_members(gens, w))
+        # p = 0 makes every word, the empty word too, a piece with a path.
+        for p in compress(range(len(w) or 1), prefix_members(gens, w)):
+            piece = w[p:]
+            labels[piece] = i if labels.setdefault(piece, i) == i else SHARED
+    index = dict(zip(labels, count()))
+    keep = {index[w]: bytes(suffix_members(gens, w)) for w in words}
+    automaton = Automaton(list(labels.items()), keep)
     automaton.close()
-    step, fail, depth, owner = automaton.step, automaton.fail, automaton.depth, automaton.owner
+    fail, depth, owner = automaton.fail, automaton.depth, automaton.owner
     visited = [-1] * len(depth)
     out = {""}
-    for j, (w, suf) in enumerate(zip(words, suffix_tables)):
-        node = 0
-        for u, letter in enumerate(w, 1):
-            node = step[letter][node]
-            if suf[u]:
-                v = node
-                while v and visited[v] != j:
-                    visited[v] = j
-                    if owner[v] != j:
-                        out.add(w[u - depth[v]:u])
-                    v = fail[v]
+    for j, w in enumerate(words):
+        for v in automaton.paths[index[w]]:
+            u = depth[v]
+            while v and visited[v] != j:
+                visited[v] = j
+                if owner[v] != j:
+                    out.add(w[u - depth[v]:u])
+                v = fail[v]
     return out
 
 

@@ -4,6 +4,8 @@ Words are plain Python strings.  The empty string is the identity for
 concatenation and counts as a prefix, suffix and subword of every word.
 """
 
+from itertools import compress, repeat
+
 from .errors import AlphabetError
 
 ALPHABET = "ab"
@@ -29,58 +31,146 @@ def word_key(w):
 SHARED = -1
 
 
-class Automaton:
-    """Aho-Corasick automaton over {a, b} (Aho & Corasick, 1975).
+def common_prefix_length(x, y):
+    """Length of the longest common prefix of ``x`` and ``y``, by binary
+    search: each step compares one slice at C level, so no letter is
+    stepped in Python.
 
-    Node 0 is the root and stands for the empty word; every other node
-    stands for the word spelled on its trie path.  Insert words with
-    ``add``, then call ``close`` once.  Afterwards ``step[letter][k]`` is
-    the node of the longest suffix of (node k's word + letter) that is a
-    node, ``fail[k]`` the node of the longest proper suffix of node k's
-    word that is a node, and ``depth[k]`` the length of node k's word.  So
-    after reading a text, the failure chain from the current node lists,
-    longest first, every suffix of the text that is a prefix of an
-    inserted word.  ``owner[k]`` is the label of the insertions through
-    node k, or ``SHARED`` once two different labels have passed.
+    >>> common_prefix_length("abba", "abab")
+    2
+    """
+    n = min(len(x), len(y))
+    if x.startswith(y) or y.startswith(x):
+        return n
+    lo, hi = 0, n - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        # x and y agree on [0, lo); test [lo, mid).
+        if x.startswith(y[lo:mid], lo):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+class Automaton:
+    """Aho-Corasick automaton over {a, b} (Aho & Corasick, 1975) on the
+    trie of ``pieces``, a list of (word, label) pairs, each label an int
+    >= 0 or ``SHARED`` for a piece several labels have.
+
+    Node 0 is the root; every other node stands for the word spelled on
+    its trie path, of length ``depth[k]``.  ``owner[k]`` is the label of
+    the pieces through node k, or ``SHARED`` once two labels have passed.
+    ``ends[i]`` is the node where piece i ends, and ``paths[i]``, for each
+    i in ``keep``, the nodes of piece i's path (one per prefix length from
+    0) that the selector ``keep[i]`` picks.  After ``close``,
+    ``step[letter][k]`` is the node of the longest suffix of (node k's word
+    + letter) that is a node and ``fail[k]`` that of the longest proper
+    suffix of node k's word.  So after reading a text, the failure chain
+    from the current node lists, longest first, every suffix of the text
+    that is a prefix of a piece, and the state after reading a prefix of a
+    piece is that prefix's node on the piece's path.
+
+    The pieces go in in sorted order (Fredkin's "Trie memory", 1960): a
+    piece shares with all the pieces before it just the prefix it shares
+    with the one before, so it resumes there and only its new letters are
+    stepped in Python.  Owners are marked walking up from that depth to
+    the first node already ``SHARED`` or owned by the piece's label, so
+    each node changes owner at most once.  Costs one sort, a binary search
+    of slice comparisons per piece, and O(nodes) steps.
     """
 
-    def __init__(self):
-        self.step = {"a": [0], "b": [0]}
-        self.depth = [0]
-        self.owner = [SHARED]
+    def __init__(self, pieces, keep):
+        step_a, step_b = [0], [0]
+        self.step = step = {"a": step_a, "b": step_b}
+        depth = self.depth = [0]
+        owner = self.owner = [SHARED]
+        parent = self.parent = [0]
+        ends = self.ends = [0] * len(pieces)
+        paths = self.paths = {}
         self.fail = self.order = None
-
-    def add(self, word, label, start=0):
-        """Insert ``word[start:]`` under ``label`` (an int >= 0) and return
-        the node it ends at.  Costs O(len(word) - start)."""
-        step, depth, owner = self.step, self.depth, self.owner
-        node = 0
-        for letter in word[start:]:
-            row = step[letter]
-            child = row[node]
-            if not child:
-                child = row[node] = len(depth)
-                step["a"].append(0)
-                step["b"].append(0)
-                depth.append(depth[node] + 1)
-                owner.append(label)
-            elif owner[child] != label:
-                owner[child] = SHARED
-            node = child
-        return node
+        path = [0]  # nodes of the previous piece, by depth
+        prev = ""
+        for i in sorted(range(len(pieces)), key=pieces.__getitem__):
+            word, label = pieces[i]
+            shared = common_prefix_length(prev, word)
+            d = shared
+            while d:
+                node = path[d]
+                if owner[node] == label or owner[node] == SHARED:
+                    break
+                owner[node] = SHARED
+                d -= 1
+            new = len(word) - shared
+            if new:
+                del path[shared + 1:]
+                first = len(depth)
+                parent.append(path[shared])
+                parent.extend(range(first, first + new - 1))
+                path.extend(range(first, first + new))
+                depth.extend(range(shared + 1, len(word) + 1))
+                owner.extend(repeat(label, new))
+                step_a.extend(repeat(0, new))
+                step_b.extend(repeat(0, new))
+                step[word[shared]][path[shared]] = first
+                for child, letter in enumerate(word[shared + 1:], first + 1):
+                    step[letter][child - 1] = child
+            # With no new letters the path may run on past the piece.
+            ends[i] = path[len(word)]
+            if i in keep:
+                paths[i] = list(compress(path, keep[i]))
+            prev = word
 
     def close(self):
         """Compute the failure links, in breadth-first ``order``, and fill
         in the missing transitions.  Costs O(nodes)."""
-        rows = self.step["a"], self.step["b"]
+        row_a, row_b = self.step["a"], self.step["b"]
         fail = self.fail = [0] * len(self.depth)
-        order = self.order = [child for child in (rows[0][0], rows[1][0]) if child]
+        order = self.order = [child for child in (row_a[0], row_b[0]) if child]
         for node in order:
             back = fail[node]
-            for row in rows:
-                child = row[node]
-                if child:
-                    fail[child] = row[back]
-                    order.append(child)
-                else:
-                    row[node] = row[back]
+            child = row_a[node]
+            if child:
+                fail[child] = row_a[back]
+                order.append(child)
+            else:
+                row_a[node] = row_a[back]
+            child = row_b[node]
+            if child:
+                fail[child] = row_b[back]
+                order.append(child)
+            else:
+                row_b[node] = row_b[back]
+
+    def earliest_ends(self, marked):
+        """For each node k, a dict mapping each node of ``marked`` whose word
+        occurs in node k's word to the end of its first occurrence there,
+        in order of those ends.  Call after ``close``.
+
+        A marked word ends at u in a piece exactly when its node is on the
+        failure chain of the piece's path node at depth u.  So, parents
+        first, each node takes its parent's dict and adds at its own depth
+        the marked nodes on its chain not in it yet.  A dict holding a
+        marked node holds that node's chain, so each walk stops at the first
+        node already in it, and a node adding nothing shares its parent's
+        dict.  Costs O(nodes) steps plus a dict copy per node that adds.
+        """
+        fail, parent, depth = self.fail, self.parent, self.depth
+        nearest = [0] * len(depth)
+        for k in marked:
+            nearest[k] = k
+        for k in self.order:
+            if not nearest[k]:
+                nearest[k] = nearest[fail[k]]
+        out = [{}] * len(depth)
+        for k in self.order:
+            above = out[parent[k]]
+            j = nearest[k]
+            if not j or j in above:
+                out[k] = above
+                continue
+            mine = out[k] = dict(above)
+            while j and j not in mine:
+                mine[j] = depth[k]
+                j = nearest[fail[j]]
+        return out

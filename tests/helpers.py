@@ -4,7 +4,10 @@ Everything here deliberately uses a different algorithm than the code
 under test: breadth-first product enumeration instead of word-break
 dynamic programming, union-find instead of graph search, unpruned
 exhaustion instead of the pruned solver, pairwise substring sets and
-prefix-length scans instead of the Aho-Corasick string kernels, a triple
+prefix-length scans instead of the Aho-Corasick string kernels, a trie
+built one piece and one letter at a time instead of the sorted
+shared-prefix insertion, two loops of subword tests over every pair of
+words and middles instead of the middle scan over one trie, a triple
 loop over member starts, member ends and lengths instead of the occurrence
 search for repeated factors, a closure that rebuilds its generators from
 the whole pool every round and tests each candidate with ``member``, and a
@@ -32,7 +35,7 @@ from uniseq.submonoid import (
     prefix_members,
     suffix_members,
 )
-from uniseq.words import word_key
+from uniseq.words import SHARED, word_key
 from uniseq.witness import (
     BASE,
     TARGETED,
@@ -86,6 +89,58 @@ def decompose_oracle(w, generators):
     prefix_end = max(i for i in range(len(w) + 1) if w[:i] in members)
     suffix_start = min(i for i in range(len(w) + 1) if w[i:] in members)
     return prefix_end, suffix_start
+
+
+class IncrementalTrie:
+    """The trie of ``words.Automaton`` built one piece at a time, stepping
+    every letter, with the same node arrays: ``step``, ``depth`` and
+    ``owner``."""
+
+    def __init__(self):
+        self.step = {"a": [0], "b": [0]}
+        self.depth = [0]
+        self.owner = [SHARED]
+
+    def add(self, word, label, start=0):
+        """Insert ``word[start:]`` under ``label`` and return its end node."""
+        step, depth, owner = self.step, self.depth, self.owner
+        node = 0
+        for letter in word[start:]:
+            row = step[letter]
+            child = row[node]
+            if not child:
+                child = row[node] = len(depth)
+                step["a"].append(0)
+                step["b"].append(0)
+                depth.append(depth[node] + 1)
+                owner.append(label)
+            elif owner[child] != label:
+                owner[child] = SHARED
+            node = child
+        return node
+
+
+def middle_findings_reference(words, decomps):
+    """``conditions._middle_findings`` by testing every middle against every
+    word and every other member prefix with ``in``."""
+    violations = []
+    warnings = []
+    for n, dec in enumerate(decomps, 1):
+        if dec is None:
+            continue
+        for m, w in enumerate(words, 1):
+            if n != m and dec.middle in w:
+                violations.append(Violation("middle-unique", (n, m), (dec.middle, w)))
+        if dec.middle in dec.prefix:
+            violations.append(
+                Violation("middle-in-own-prefix", (n,), (dec.middle, dec.prefix))
+            )
+        for m, other in enumerate(decomps, 1):
+            if other is not None and m != n and dec.middle in other.prefix:
+                warnings.append(
+                    Violation("middle-in-other-prefix", (n, m), (dec.middle, other.prefix))
+                )
+    return violations, warnings
 
 
 def repeated_factors_reference(gens, words):

@@ -369,6 +369,21 @@ def test_perm_with_a_long_integer_is_a_usage_error_naming_the_option(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["blocks", "--ground", "1," + "9" * 5000], "--ground"),
+        (["solve", "-w", "a", "-t", "0," + "9" * 5000], "--target"),
+    ],
+    ids=["ground", "target"],
+)
+def test_comma_separated_long_integer_is_a_usage_error_naming_the_option(capsys, argv, option):
+    code = cli.main(argv)
+    assert (code, *capsys.readouterr()) == (
+        2, "", f"error: {option}: an integer has too many digits\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         "solve -w a --target=--",

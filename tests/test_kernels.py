@@ -1,6 +1,6 @@
-"""The Aho-Corasick string kernels, the occurrence-search repeated factors
-and the incremental closure against the references they replaced, kept in
-``helpers``."""
+"""The sorted shared-prefix trie, the Aho-Corasick string kernels, the
+middle scan, the occurrence-search repeated factors and the incremental
+closure against the references they replaced, kept in ``helpers``."""
 
 import json
 
@@ -9,17 +9,21 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    IncrementalTrie,
     check_corollary_reference,
     closure_reference,
     cross_factors_reference,
     explicit_family,
+    middle_findings_reference,
     repeated_factors_reference,
     satisfies_conditions,
 )
 from uniseq import cli
-from uniseq.conditions import check_corollary
+from uniseq import conditions
+from uniseq.conditions import Decomposition, analyze_family, check_corollary
 from uniseq.families import BUILTIN_FAMILIES, instantiate_many
 from uniseq.submonoid import closure, cross_factors, repeated_factors
+from uniseq.words import SHARED, Automaton
 
 BUILTINS = sorted(BUILTIN_FAMILIES)
 
@@ -47,6 +51,60 @@ def word_lists(draw, min_size=1):
     if len(words) < min_size:
         words.append(words[0])
     return words
+
+
+@st.composite
+def labelled_pieces(draw):
+    """Pieces w[start:] of drawn word lists, labelled from a small range,
+    ``SHARED`` included, so that equal pieces under different labels
+    occur, and the indices whose paths to keep, each with a random
+    selector."""
+    words = draw(word_lists())
+    pieces = [
+        (w[draw(st.integers(0, len(w) - 1)):], draw(st.sampled_from((SHARED, 0, 1, 2))))
+        for w in words
+    ]
+    keep = {}
+    for i in draw(st.sets(st.integers(0, len(pieces) - 1))):
+        keep[i] = draw(st.lists(st.booleans(), max_size=8))
+    return pieces, keep
+
+
+def _walk(step, piece):
+    """The trie nodes spelling each prefix of ``piece``, from the root."""
+    nodes = [0]
+    for letter in piece:
+        nodes.append(step[letter][nodes[-1]])
+    return nodes
+
+
+@settings(max_examples=300)
+@given(labelled_pieces())
+def test_sorted_insertion_builds_the_incremental_trie(drawn):
+    pieces, keep = drawn
+    reference = IncrementalTrie()
+    reference_ends = [reference.add(word, label) for word, label in pieces]
+    automaton = Automaton(pieces, keep)
+    assert len(automaton.depth) == len(reference.depth)
+    texts = [word for word, _ in pieces]
+    if len(set(texts)) < len(texts):
+        event("equal pieces")
+    if len(set(texts)) < len(set(pieces)):
+        event("equal pieces under different labels")
+    if any(a != b and b.startswith(a) for a in texts for b in texts):
+        event("a piece is a proper prefix of another")
+    for i, (word, label) in enumerate(pieces):
+        nodes = _walk(automaton.step, word)
+        reference_nodes = _walk(reference.step, word)
+        # Same depth and owner for every prefix, so the same trie up to
+        # node numbering, as both hold only prefixes of the pieces.
+        assert [automaton.depth[k] for k in nodes] == list(range(len(word) + 1))
+        assert [reference.depth[k] for k in reference_nodes] == list(range(len(word) + 1))
+        assert [automaton.owner[k] for k in nodes] == [reference.owner[k] for k in reference_nodes]
+        assert (automaton.ends[i], reference_ends[i]) == (nodes[-1], reference_nodes[-1])
+        if i in keep:
+            assert automaton.paths[i] == [k for k, s in zip(nodes, keep[i]) if s]
+    assert sorted(automaton.paths) == sorted(keep)
 
 
 gens_st = st.sets(st.text(alphabet="ab", min_size=1, max_size=3), max_size=3).map(tuple)
@@ -131,6 +189,37 @@ def test_closure_matches_the_full_pool_rebuild(shaped):
     assert satisfies_conditions(result.generators, words)
 
 
+@st.composite
+def split_words(draw):
+    """Words with arbitrary decompositions: each word is split at drawn cut
+    points into a prefix, a nonempty middle and a suffix, or has none."""
+    words = draw(word_lists(min_size=2))
+    decomps = []
+    for n, w in enumerate(words, 1):
+        if draw(st.integers(0, 4)) == 0:
+            decomps.append(None)
+            continue
+        start = draw(st.integers(0, len(w) - 1))
+        end = draw(st.integers(start + 1, len(w)))
+        decomps.append(Decomposition(n, w[:start], w[start:end], w[end:]))
+    return words, decomps
+
+
+@settings(max_examples=300)
+@given(split_words())
+def test_middle_findings_match_the_pairwise_reference(drawn):
+    words, decomps = drawn
+    expected = middle_findings_reference(words, decomps)
+    for finding in expected[0] + expected[1]:
+        event(finding.condition)
+    middles = [d.middle for d in decomps if d is not None]
+    if len(set(middles)) < len(middles):
+        event("equal middles")
+    if None in decomps:
+        event("a word without a decomposition")
+    assert conditions._middle_findings(words, decomps) == expected
+
+
 @pytest.mark.parametrize("name", BUILTINS)
 def test_kernels_match_the_references_on_the_builtins(name):
     family = BUILTIN_FAMILIES[name]
@@ -140,6 +229,10 @@ def test_kernels_match_the_references_on_the_builtins(name):
         assert cross_factors(gens, words) == cross_factors_reference(gens, words)
         assert repeated_factors(gens, words) == repeated_factors_reference(gens, words)
     assert closure(words) == closure_reference(words)
+    analysis = analyze_family(family, 40)
+    decomps = analysis.decompositions
+    if decomps is not None:
+        assert conditions._middle_findings(words, decomps) == middle_findings_reference(words, decomps)
 
 
 # aaaba (ab)^(3n) baaab: its closure takes five rounds and ends with both
@@ -169,6 +262,7 @@ def test_cli_output_is_identical_with_the_reference_kernels(capsys, monkeypatch,
     monkeypatch.setattr(cli, "closure", closure_reference)
     monkeypatch.setattr(cli, "check_corollary", check_corollary_reference)
     monkeypatch.setattr("uniseq.conditions.closure", closure_reference)
+    monkeypatch.setattr("uniseq.conditions._middle_findings", middle_findings_reference)
     assert _outputs(capsys, families) == fast
     # The matrix reaches overlap witnesses, not only holding verdicts.
     alternating = fast[("check-cor", "alternating", "--bound", "30", "--format", "json")]
