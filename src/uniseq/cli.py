@@ -34,12 +34,11 @@ def _resolve_family(text):
     return load_family(path)
 
 
-def _show(word):
-    return word if word else "''"
+_EMPTY = "''"  # how text reports show the empty word
 
 
 def _words(words):
-    return ", ".join(_show(w) for w in words)
+    return ", ".join(w or _EMPTY for w in words)
 
 
 def _line(label):
@@ -47,13 +46,12 @@ def _line(label):
 
 
 def _findings(kind):
-    def render(items):
-        for v in items:
-            indices = ",".join(str(i) for i in v["indices"])
-            witness = " ".join(_show(w) for w in v["witness"])
-            yield f"{kind} {v['condition']} at {indices}: {witness}"
-
-    return render
+    return lambda rows: [
+        f"{kind} {c} at {i[0]},{i[1]}: {w[0] or _EMPTY}"
+        if len(i) == 2 and len(w) == 1
+        else f"{kind} {c} at {','.join(map(str, i))}: {' '.join(x or _EMPTY for x in w)}"
+        for c, i, w in rows
+    ]
 
 
 # Text lines for each report key, in the order text reports print them.
@@ -72,16 +70,13 @@ TEXT_LINES = {
     "iterations": _line("iterations"),
     "pool": lambda pool: ["pool: " + _words(pool)],
     "rounds": lambda rounds: [
-        line
+        f"round {k} {part}: " + _words(rnd[part])
         for k, rnd in enumerate(rounds, 1)
-        for line in (
-            f"round {k} repeated: " + _words(rnd["repeated"]),
-            f"round {k} cross: " + _words(rnd["cross"]),
-        )
+        for part in ("repeated", "cross")
     ],
     "decompositions": lambda decomps: [
-        f"decomposition {d['n']}: prefix={_show(d['prefix'])} "
-        f"middle={_show(d['middle'])} suffix={_show(d['suffix'])}"
+        f"decomposition {d['n']}: prefix={d['prefix'] or _EMPTY} "
+        f"middle={d['middle'] or _EMPTY} suffix={d['suffix'] or _EMPTY}"
         for d in decomps
     ],
     "checks": lambda checks: [f"check {name}: {count}" for name, count in checks.items()],
@@ -95,6 +90,33 @@ TEXT_LINES = {
     "violations": _findings("violation"),
     "warnings": _findings("warning"),
 }
+
+
+def render_json(report):
+    """``json.dumps`` of the report, with each finding row written directly
+    as its condition, indices, witness object: keys and conditions are fixed
+    identifiers, indices ints and witnesses words over {a, b}, so nothing
+    needs escaping.  Fields and rows are both separated by ", ", so the rows
+    join as fields of their own and a long report is copied once."""
+    fields = []
+    words_sep = '", "'  # between the quoted words of a witness
+    for key, value in report.items():
+        if key not in ("violations", "warnings") or not value:
+            fields.append(f'"{key}": {json.dumps(value)}')
+            continue
+        rows = [
+            f'{{"condition": "{c}", "indices": [{i[0]}, {i[1]}], "witness": ["{w[0]}"]}}'
+            if len(i) == 2 and len(w) == 1
+            else f'{{"condition": "{c}", "indices": [{", ".join(map(str, i))}], '
+            f'"witness": ["{words_sep.join(w)}"]}}'
+            for c, i, w in value
+        ]
+        rows[0] = f'"{key}": [' + rows[0]
+        rows[-1] += "]"
+        fields += rows
+    fields[0] = "{" + fields[0]
+    fields[-1] += "}"
+    return ", ".join(fields)
 
 
 def render_text(report):
@@ -115,10 +137,10 @@ def cmd_closure(args):
     result = closure(words)
     report = _family_report(
         args,
-        generators=list(result.generators),
+        generators=result.generators,
         iterations=result.iterations,
-        pool=list(result.pool),
-        rounds=[{"repeated": list(r.repeated), "cross": list(r.cross)} for r in result.rounds],
+        pool=result.pool,
+        rounds=[{"repeated": r.repeated, "cross": r.cross} for r in result.rounds],
     )
     return report, 0
 
@@ -127,19 +149,17 @@ def _check_report(args, verdict, **extra):
     report = _family_report(
         args,
         verdict="holds" if verdict.holds else "fails",
-        violations=[v.to_json() for v in verdict.violations],
-        warnings=[v.to_json() for v in verdict.warnings],
+        violations=verdict.violations,
+        warnings=verdict.warnings,
         **extra,
     )
     return report, 0 if verdict.holds else 1
 
 
 def _decomposition_json(analysis):
-    if analysis.decompositions is None:
-        return []
     return [
         {"n": d.index, "prefix": d.prefix, "middle": d.middle, "suffix": d.suffix}
-        for d in analysis.decompositions
+        for d in analysis.decompositions or ()
     ]
 
 
@@ -148,7 +168,7 @@ def cmd_check_thm(args):
     return _check_report(
         args,
         analysis.verdict,
-        generators=list(analysis.closure.generators),
+        generators=analysis.closure.generators,
         decompositions=_decomposition_json(analysis),
     )
 
@@ -159,12 +179,12 @@ def cmd_check_cor(args):
 
 def cmd_decompose(args):
     analysis = analyze_family(_resolve_family(args.family), args.bound)
-    split_failures = [v for v in analysis.verdict.violations if v.condition == "split"]
+    split_failures = [v for v in analysis.verdict.violations if v[0] == "split"]
     report = _family_report(
         args,
-        generators=list(analysis.closure.generators),
+        generators=analysis.closure.generators,
         decompositions=_decomposition_json(analysis),
-        violations=[v.to_json() for v in split_failures],
+        violations=split_failures,
     )
     return report, 0 if not split_failures else 1
 
@@ -177,8 +197,7 @@ def cmd_witness(args):
     try:
         result = verify_witness(family, args.bound, targets, samples)
     except HypothesisNotVerified as exc:
-        report.update(verdict="not-verified", reason=str(exc))
-        report["violations"] = [v.to_json() for v in exc.verdict.violations]
+        report.update(verdict="not-verified", reason=str(exc), violations=exc.verdict.violations)
         return report, 1
     except VerificationFailure as exc:
         report["verdict"] = "fail"
@@ -186,7 +205,7 @@ def cmd_witness(args):
         return report, 1
     report.update(verdict="pass", checks=dict(result.checks), failure=None)
     if result.not_applicable:
-        report["not_applicable"] = list(result.not_applicable)
+        report["not_applicable"] = result.not_applicable
     return report, 0
 
 
@@ -220,11 +239,7 @@ def cmd_solve(args):
         "command": "solve",
         "ground_size": size,
         "result": "sat" if assignment else "unsat",
-        "witness": (
-            {"a": list(assignment["a"]), "b": list(assignment["b"])}
-            if assignment
-            else None
-        ),
+        "witness": assignment,
     }
     return report, 0 if assignment else 1
 
@@ -348,7 +363,7 @@ def main(argv=None):
         if args.min_bound is not None and args.bound < args.min_bound:
             raise ParseError(f"--bound must be at least {args.min_bound}")
         report, code = args.func(args)
-        print(json.dumps(report) if args.format == "json" else render_text(report))
+        print(render_json(report) if args.format == "json" else render_text(report))
     except (UniseqError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,31 +29,16 @@ class Decomposition:
     middle: str
     suffix: str
 
-    @property
-    def word(self):
-        return self.prefix + self.middle + self.suffix
-
-
-@dataclass(frozen=True)
-class Violation:
-    condition: str
-    indices: tuple[int, ...]
-    witness: tuple[str, ...]
-
-    def to_json(self):
-        return {
-            "condition": self.condition,
-            "indices": list(self.indices),
-            "witness": list(self.witness),
-        }
-
 
 @dataclass(frozen=True)
 class Verdict:
+    """Outcome of a check at ``bound``.  A finding is a plain row
+    ``(condition, 1-based word indices, witness words)`` of str and tuples."""
+
     holds: bool
     bound: int
-    violations: tuple[Violation, ...] = ()
-    warnings: tuple[Violation, ...] = ()
+    violations: tuple = ()
+    warnings: tuple = ()
 
 
 def decompose(w, gens, index):
@@ -100,7 +85,11 @@ def analyze_family(family, bound):
     * no middle occurs inside its own member prefix.
 
     A middle occurring inside a different word's member prefix is reported
-    as a warning, not a violation.  The two middle conditions and the
+    as a warning, not a violation.  Findings are ``(condition, indices,
+    witness)`` rows: ``split`` at (n,) with (w_n,), ``middle-unique`` at
+    (n, m) with (middle n, w_m), ``middle-in-own-prefix`` at (n,) with
+    (middle n, prefix n), and the ``middle-in-other-prefix`` warning at
+    (n, m) with (middle n, prefix m).  The two middle conditions and the
     warning come from one sorted trie of the words and middles
     (``_middle_findings``): O(trie nodes) Python steps plus one step per
     (middle, word) occurrence, instead of 2N^2 subword tests.
@@ -111,14 +100,13 @@ def analyze_family(family, bound):
     clo = closure(words)
     gens = clo.generators
     violations = []
-    warnings = []
     decomps = []
     for n, w in enumerate(words, 1):
         try:
             decomps.append(decompose(w, gens, n))
         except SplitViolation:
             decomps.append(None)
-            violations.append(Violation("split", (n,), (w,)))
+            violations.append(("split", (n,), (w,)))
     found, warnings = _middle_findings(words, decomps)
     violations += found
     verdict = Verdict(not violations, bound, tuple(violations), tuple(warnings))
@@ -161,19 +149,16 @@ def _middle_findings(words, decomps):
     for n, group in groupby(hits, itemgetter(0)):
         dec = decomps[n]
         ends = {m: u for _, m, u in group}
-        violations.extend(
-            Violation("middle-unique", (n + 1, m + 1), (dec.middle, words[m]))
-            for m in ends if m != n
-        )
+        violations += [
+            ("middle-unique", (n + 1, m + 1), (dec.middle, words[m])) for m in ends if m != n
+        ]
         if ends[n] <= len(dec.prefix):
-            violations.append(
-                Violation("middle-in-own-prefix", (n + 1,), (dec.middle, dec.prefix))
-            )
+            violations.append(("middle-in-own-prefix", (n + 1,), (dec.middle, dec.prefix)))
         for m, u in ends.items():
             other = decomps[m]
             if m != n and other is not None and u <= len(other.prefix):
                 warnings.append(
-                    Violation("middle-in-other-prefix", (n + 1, m + 1), (dec.middle, other.prefix))
+                    ("middle-in-other-prefix", (n + 1, m + 1), (dec.middle, other.prefix))
                 )
     return violations, warnings
 
@@ -194,11 +179,12 @@ def check_corollary(family, bound):
     chain suffix s is the witness for every word that properly extends s
     and no shorter chain suffix; those words form one range of the sorted
     word list, which is either wholly claimed by a shorter suffix already
-    or not at all.  Violations come out in (n, m) order, an overlap before
-    a subword.  With T the trie nodes, S the subword pairs and V the
-    violation count, this costs a sort, O(T + N^2 + S + V log V) steps and
-    two binary searches per chain suffix, instead of trying every prefix
-    length of every pair.
+    or not at all.  Violations are ``(condition, (n, m), (witness,))`` rows
+    in (n, m) order, a ``prefix-suffix-overlap`` (witness: the overlap)
+    before a ``subword`` (witness: w_n).  With T the trie nodes, S the
+    subword pairs and V the violation count, this costs a sort,
+    O(T + N^2 + S + V log V) steps and two binary searches per chain
+    suffix, instead of trying every prefix length of every pair.
     """
     if bound < 2:
         raise ValueError("family checks need a bound of at least 2")
@@ -230,10 +216,6 @@ def check_corollary(family, bound):
                 claimed[lo:hi] = b"\1" * (hi - lo)
                 found.extend(zip(by_text[lo:hi], repeat(m), repeat(0), repeat(piece)))
     found.sort()
-    violations = tuple(
-        Violation(
-            "subword" if kind else "prefix-suffix-overlap", (n + 1, m + 1), (witness,)
-        )
-        for n, m, kind, witness in found
-    )
+    names = ("prefix-suffix-overlap", "subword")
+    violations = tuple([(names[kind], (n + 1, m + 1), (w,)) for n, m, kind, w in found])
     return Verdict(not violations, bound, violations)

@@ -24,19 +24,18 @@ a and b for each other first.
 
 Trust boundary: the public ``StackState(...)`` constructor validates every
 cell (reduced signed word or atom, signed-word innermost cell) and is what
-samples, seeded targets and user code go through.  The machine's own
-transitions (push, fold, fire, append) build their states through
-``_trusted``, which only canonicalizes: they start from valid states and
-produce cells that are valid by construction (a plain letter, or the
-product of reduced words), so re-checking every stored cell on each letter
-would cost O(depth) per letter for nothing.  ``WitnessContext`` checks
-nothing either: its one caller builds it from an analysis that holds.
+samples and user code go through.  The machine's own transitions (push,
+fold, fire, append) build their states through ``_trusted``, which only
+canonicalizes: they start from valid states and produce cells that are
+valid by construction (a plain letter, or the product of reduced words),
+so re-checking every stored cell on each letter would cost O(depth) per
+letter for nothing.  ``WitnessContext`` checks nothing either: its one
+caller builds it from an analysis that holds.
 """
 
 import hashlib
 import random
 from dataclasses import dataclass
-from os.path import commonprefix
 
 from .conditions import analyze_family
 from .errors import (
@@ -48,7 +47,7 @@ from .errors import (
     VerificationFailure,
 )
 from .families import MAX_BOUND
-from .words import check_word, word_key
+from .words import check_word, common_prefix_length, word_key
 
 BASE = "base"
 TARGETED = "targeted"
@@ -189,7 +188,9 @@ class SeededTarget:
     The output state is built from a bounded pool of cell values using a
     hash of (seed, index, canonical encoding of the input state).
     Evaluation is a pure function: equal inputs always produce equal
-    outputs, regardless of call order or interleaving.
+    outputs, regardless of call order or interleaving.  Outputs are built by
+    ``_trusted``, unvalidated: each cell is an atom or reduced word from
+    ``CELLS`` and the innermost a word from ``CELL_WORDS``, so they are valid.
     """
 
     def __init__(self, seed, index):
@@ -204,11 +205,11 @@ class SeededTarget:
         digest = hashlib.sha256(text.encode("utf-8")).digest()
         depth = digest[0] % 4
         if depth == 0:
-            return StackState(CELL_WORDS[digest[1] % len(CELL_WORDS)])
+            return _trusted(CELL_WORDS[digest[1] % len(CELL_WORDS)], ())
         tail = CELLS[digest[1] % len(CELLS)]
         middles = tuple(CELLS[digest[2 + k] % len(CELLS)] for k in range(depth - 1))
         innermost = CELL_WORDS[digest[6] % len(CELL_WORDS)]
-        return StackState(tail, middles + (innermost,))
+        return _trusted(tail, middles + (innermost,))
 
 
 def seeded_targets(seed, count):
@@ -489,7 +490,7 @@ def verify_witness(family, bound, targets, samples):
     )
     middles = [d.middle for d in analysis.decompositions]
     plans = {
-        mode: [(w, len(commonprefix((p, w)))) for p, w in zip([""] + words, words)]
+        mode: [(w, common_prefix_length(p, w)) for p, w in zip([""] + words, words)]
         for mode, words in ((TARGETED, sorted({*analysis.words, *products, *middles})),
                             (BASE, sorted({*products, *middles})))
     }

@@ -14,15 +14,19 @@ the whole pool every round and tests each candidate with ``member``, and a
 witness machine whose every transition goes through the validating
 ``StackState(...)`` constructor instead of the machine's trusted one.  The
 reference witness verification runs the machine afresh for every check,
-as ``verify_witness`` did before its checks shared one table of runs.
+as ``verify_witness`` did before its checks shared one table of runs.  The
+reference renderer turns each finding row into a dict and hands the report
+to ``json.dumps``, instead of writing the rows' JSON text directly.
 
 It also holds two test fixtures: ``explicit_family``, a family listing
 given words verbatim, and ``TableTarget``, a target map given by a table.
 """
 
+import json
 from itertools import product
 
-from uniseq.conditions import Verdict, Violation, analyze_family
+from uniseq import cli
+from uniseq.conditions import Verdict, analyze_family
 from uniseq.equations import evaluate
 from uniseq import witness
 from uniseq.errors import AmbiguousCollapse, HypothesisNotVerified, VerificationFailure
@@ -130,16 +134,12 @@ def middle_findings_reference(words, decomps):
             continue
         for m, w in enumerate(words, 1):
             if n != m and dec.middle in w:
-                violations.append(Violation("middle-unique", (n, m), (dec.middle, w)))
+                violations.append(("middle-unique", (n, m), (dec.middle, w)))
         if dec.middle in dec.prefix:
-            violations.append(
-                Violation("middle-in-own-prefix", (n,), (dec.middle, dec.prefix))
-            )
+            violations.append(("middle-in-own-prefix", (n,), (dec.middle, dec.prefix)))
         for m, other in enumerate(decomps, 1):
             if other is not None and m != n and dec.middle in other.prefix:
-                warnings.append(
-                    Violation("middle-in-other-prefix", (n, m), (dec.middle, other.prefix))
-                )
+                warnings.append(("middle-in-other-prefix", (n, m), (dec.middle, other.prefix)))
     return violations, warnings
 
 
@@ -194,13 +194,50 @@ def check_corollary_reference(family, bound):
             for length in range(1, len(wn)):
                 prefix = wn[:length]
                 if wm.endswith(prefix):
-                    violations.append(
-                        Violation("prefix-suffix-overlap", (n, m), (prefix,))
-                    )
+                    violations.append(("prefix-suffix-overlap", (n, m), (prefix,)))
                     break
             if n != m and wn in wm:
-                violations.append(Violation("subword", (n, m), (wn,)))
+                violations.append(("subword", (n, m), (wn,)))
     return Verdict(not violations, bound, tuple(violations))
+
+
+def finding_to_json(row):
+    """A finding row as the dict its JSON object encodes."""
+    condition, indices, witness = row
+    return {"condition": condition, "indices": list(indices), "witness": list(witness)}
+
+
+def render_json_reference(report):
+    """``cli.render_json`` as ``json.dumps`` of the report with each
+    finding row turned into its dict."""
+    return json.dumps({
+        key: [finding_to_json(row) for row in value] if key in FINDINGS else value
+        for key, value in report.items()
+    })
+
+
+def findings_text_reference(kind):
+    """The text lines for finding rows, read from each row's dict."""
+    def render(rows):
+        for v in map(finding_to_json, rows):
+            indices = ",".join(str(i) for i in v["indices"])
+            witness = " ".join(w if w else "''" for w in v["witness"])
+            yield f"{kind} {v['condition']} at {indices}: {witness}"
+
+    return render
+
+
+FINDINGS = {"violations": findings_text_reference("violation"),
+            "warnings": findings_text_reference("warning")}
+
+
+def render_text_reference(report):
+    """``cli.render_text`` with the finding lines of the reference."""
+    lines = []
+    for key, render in cli.TEXT_LINES.items():
+        if report.get(key) is not None:
+            lines.extend(FINDINGS.get(key, render)(report[key]))
+    return "\n".join(lines)
 
 
 def satisfies_conditions(gens, words):

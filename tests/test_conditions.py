@@ -34,7 +34,7 @@ def test_check_split_small_cases():
 def test_decompose_small_cases():
     d = decompose("abaababbab", ("ab",), 1)
     assert (d.prefix, d.middle, d.suffix) == ("ab", "aababb", "ab")
-    assert d.word == "abaababbab"
+    assert d.prefix + d.middle + d.suffix == "abaababbab"
 
     d = decompose("abaabb", (), 1)
     assert (d.prefix, d.middle, d.suffix) == ("", "abaabb", "")
@@ -75,8 +75,8 @@ def test_theorem_holds_for_banach_family():
 def test_theorem_fails_for_alternating_powers():
     verdict = analyze_family(ALTERNATING_POWERS, 3).verdict
     assert not verdict.holds
-    split = [v for v in verdict.violations if v.condition == "split"]
-    assert split and split[0].indices == (1,)
+    split = [v for v in verdict.violations if v[0] == "split"]
+    assert split and split[0][1] == (1,)
 
 
 def test_alternating_decompositions():
@@ -95,10 +95,7 @@ def test_corollary_holds_for_named_families():
 def test_corollary_fails_on_prefix_suffix_overlap():
     verdict = check_corollary(A_POWER_BA, 2)
     assert not verdict.holds
-    first = verdict.violations[0]
-    assert first.condition == "prefix-suffix-overlap"
-    assert first.indices == (1, 1)
-    assert first.witness == ("a",)
+    assert verdict.violations[0] == ("prefix-suffix-overlap", (1, 1), ("a",))
 
 
 def test_corollary_implies_theorem_on_named_families():

@@ -1,6 +1,7 @@
 """The sorted shared-prefix trie, the Aho-Corasick string kernels, the
-middle scan, the occurrence-search repeated factors and the incremental
-closure against the references they replaced, kept in ``helpers``."""
+middle scan, the occurrence-search repeated factors, the incremental
+closure and the report renderers against the references they replaced,
+kept in ``helpers``."""
 
 import json
 
@@ -15,6 +16,8 @@ from helpers import (
     cross_factors_reference,
     explicit_family,
     middle_findings_reference,
+    render_json_reference,
+    render_text_reference,
     repeated_factors_reference,
     satisfies_conditions,
 )
@@ -211,7 +214,7 @@ def test_middle_findings_match_the_pairwise_reference(drawn):
     words, decomps = drawn
     expected = middle_findings_reference(words, decomps)
     for finding in expected[0] + expected[1]:
-        event(finding.condition)
+        event(finding[0])
     middles = [d.middle for d in decomps if d is not None]
     if len(set(middles)) < len(middles):
         event("equal middles")
@@ -263,6 +266,8 @@ def test_cli_output_is_identical_with_the_reference_kernels(capsys, monkeypatch,
     monkeypatch.setattr(cli, "check_corollary", check_corollary_reference)
     monkeypatch.setattr("uniseq.conditions.closure", closure_reference)
     monkeypatch.setattr("uniseq.conditions._middle_findings", middle_findings_reference)
+    monkeypatch.setattr(cli, "render_json", render_json_reference)
+    monkeypatch.setattr(cli, "render_text", render_text_reference)
     assert _outputs(capsys, families) == fast
     # The matrix reaches overlap witnesses, not only holding verdicts.
     alternating = fast[("check-cor", "alternating", "--bound", "30", "--format", "json")]
@@ -271,3 +276,63 @@ def test_cli_output_is_identical_with_the_reference_kernels(capsys, monkeypatch,
     report = fast[("closure", str(failing), "--bound", "10", "--format", "json")][1]
     assert json.loads(report)["generators"] == ["a", "b"]
     assert fast[("check-thm", str(failing), "--bound", "10", "--format", "json")][0] == 1
+
+
+CONDITIONS = (
+    "split",
+    "middle-unique",
+    "middle-in-own-prefix",
+    "middle-in-other-prefix",
+    "prefix-suffix-overlap",
+    "subword",
+)
+report_words = st.text(alphabet="ab", max_size=4)
+finding_rows = st.tuples(
+    st.sampled_from(CONDITIONS),
+    st.lists(st.integers(1, 10**6), min_size=1, max_size=2).map(tuple),
+    st.lists(report_words, min_size=1, max_size=2).map(tuple),
+)
+
+
+@st.composite
+def finding_reports(draw):
+    """Reports shaped like those of check-thm, check-cor, decompose and
+    witness: violations, maybe warnings, and maybe fields after them."""
+    report = {
+        "command": draw(st.sampled_from(("check-thm", "check-cor", "decompose", "witness"))),
+        "family": draw(st.text(max_size=6)),
+        "bound": draw(st.integers(2, 500)),
+        "verdict": draw(st.sampled_from(("holds", "fails", "not-verified"))),
+    }
+    # The package passes findings as tuples and as lists.
+    rows = st.lists(finding_rows, max_size=4)
+    report["violations"] = draw(st.one_of(rows, rows.map(tuple)))
+    if draw(st.booleans()):
+        report["warnings"] = draw(rows)
+    if draw(st.booleans()):
+        report["generators"] = draw(st.lists(report_words, max_size=3))
+        report["decompositions"] = [
+            {"n": n, "prefix": prefix, "middle": middle, "suffix": suffix}
+            for n, (prefix, middle, suffix) in enumerate(
+                draw(st.lists(st.tuples(report_words, report_words, report_words), max_size=3)), 1
+            )
+        ]
+    return report
+
+
+@settings(max_examples=300)
+@given(finding_reports())
+def test_renderers_match_the_reference_renderer(report):
+    findings = [*report["violations"], *report.get("warnings", ())]
+    for condition, indices, witness in findings:
+        event(condition)
+        event(f"indices: {len(indices)}, witness words: {len(witness)}")
+        if "" in witness:
+            event("the empty word in a witness")
+    event("violations" if report["violations"] else "no violations")
+    if report.get("warnings"):
+        event("warnings")
+    if "decompositions" in report:
+        event("fields after the findings")
+    assert cli.render_json(report) == render_json_reference(report)
+    assert cli.render_text(report) == render_text_reference(report)

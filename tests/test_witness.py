@@ -2,6 +2,7 @@ import gc
 import tracemalloc
 from collections import Counter
 from itertools import product
+from os.path import commonprefix
 
 import pytest
 from hypothesis import event, given, settings
@@ -25,6 +26,7 @@ from uniseq.families import (
     SequenceFamily,
 )
 from uniseq.submonoid import ClosureResult
+from uniseq.words import common_prefix_length
 from uniseq.witness import (
     BASE,
     MAX_SAMPLES,
@@ -241,6 +243,44 @@ def test_seeded_targets_are_deterministic_functions():
     assert any(first(s) != other(s) for s in states)
 
 
+def test_seeded_target_outputs_equal_the_validated_states():
+    """Seeded targets build their outputs without validation; each one must
+    be the state the validating constructor gives for its cells."""
+    shapes = Counter()
+    for seed in range(12):
+        states = sample_states(40, seed)
+        # Outputs are inputs too, as when a target's result is walked on.
+        states += [SeededTarget(seed, 1)(x) for x in states]
+        for index in (1, 2, 9, 200):
+            target = SeededTarget(seed, index)
+            for x in states:
+                got = target(x)
+                assert got == StackState(got.tail, tuple(got.entries))
+                shapes[len(got.entries), isinstance(got.tail, Atom)] += 1
+    # Every depth the pools give, under both kinds of tail.
+    assert {depth for depth, _ in shapes} == {0, 1, 2, 3}
+    assert {atom for _, atom in shapes} == {False, True}
+
+
+@pytest.mark.parametrize("family", [ALTERNATING, BANACH, SIERPINSKI])
+def test_walk_plans_resume_where_commonprefix_does(monkeypatch, family):
+    """The walk plans' shared-prefix lengths come from
+    ``words.common_prefix_length``; they must be those of
+    ``os.path.commonprefix``, which the plans were built with before."""
+    pairs = []
+
+    def recording(x, y):
+        pairs.append((x, y))
+        return common_prefix_length(x, y)
+
+    monkeypatch.setattr(witness, "common_prefix_length", recording)
+    verify_witness(family, 10, seeded_targets(0, 10), sample_states(2, 0))
+    assert len(pairs) > 10
+    assert [common_prefix_length(x, y) for x, y in pairs] == [
+        len(commonprefix((x, y))) for x, y in pairs
+    ]
+
+
 def test_table_target_defaults_to_identity():
     t = TableTarget()
     state = StackState("ab")
@@ -308,7 +348,7 @@ def test_equal_middles_stop_verification_before_a_context_is_built(monkeypatch):
     assert [d.middle for d in analyze_family(family, 2).decompositions] == ["aab", "aab"]
     with pytest.raises(HypothesisNotVerified) as info:
         verify_witness(family, 2, seeded_targets(0, 2), sample_states(3, 0))
-    assert [v.condition for v in info.value.verdict.violations] == ["middle-unique"] * 2
+    assert [v[0] for v in info.value.verdict.violations] == ["middle-unique"] * 2
 
 
 def test_repeated_sample_states_are_rejected():
