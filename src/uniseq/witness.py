@@ -17,6 +17,9 @@ middles; on a match it unwinds the stored member prefix, fires the
 attached target map, and pre-cancels the member suffix that the remaining
 input letters will append.  Both matches are provably unique for families
 meeting the conditions; ambiguity raises an error instead of guessing.
+Nothing is rescanned: each state travels with its node in one
+Aho-Corasick automaton over the generators and middles, so a push is one
+transition and only the keys ending at the node are checked.
 
 The family is assumed to be in the orientation where every word starts
 with a and ends with b.  Mirrored families can be handled by substituting
@@ -26,11 +29,11 @@ Trust boundary: the public ``StackState(...)`` constructor validates every
 cell (reduced signed word or atom, signed-word innermost cell) and is what
 samples and user code go through.  The machine's own transitions (push,
 fold, fire, append) build their states through ``_trusted``, which only
-canonicalizes: they start from valid states and produce cells that are
-valid by construction (a plain letter, or the product of reduced words),
-so re-checking every stored cell on each letter would cost O(depth) per
-letter for nothing.  ``WitnessContext`` checks nothing either: its one
-caller builds it from an analysis that holds.
+canonicalizes: from valid states they make cells valid by construction (a
+plain letter, or the product of reduced words), so re-checking every
+stored cell on each letter would cost O(depth) per letter for nothing.
+``WitnessContext`` checks nothing either: its one caller builds it from an
+analysis that holds.
 """
 
 import hashlib
@@ -47,12 +50,10 @@ from .errors import (
     VerificationFailure,
 )
 from .families import MAX_BOUND
-from .words import check_word, common_prefix_length, word_key
+from .words import Automaton, check_word, common_prefix_length, word_key
 
 BASE = "base"
 TARGETED = "targeted"
-
-_INVERSE = {"a": "A", "b": "B", "A": "a", "B": "b"}
 
 
 def reduce_word(s):
@@ -67,9 +68,9 @@ def reduce_word(s):
     """
     out = []
     for ch in s:
-        if ch not in _INVERSE:
+        if ch not in "abAB":
             raise AlphabetError(f"letter {ch!r} is not a signed letter")
-        if out and out[-1] == _INVERSE[ch]:
+        if out and out[-1] == ch.swapcase():
             out.pop()
         else:
             out.append(ch)
@@ -81,19 +82,20 @@ def gw_mul(u, v):
     the junction, so the result is reduced."""
     i = len(u)
     j = 0
-    while i > 0 and j < len(v) and _INVERSE[u[i - 1]] == v[j]:
+    while i > 0 and j < len(v) and u[i - 1] == v[j].swapcase():
         i -= 1
         j += 1
     return u[:i] + v[j:]
 
 
 def gw_inv(u):
-    """Inverse of a reduced signed word."""
-    return "".join(_INVERSE[ch] for ch in reversed(u))
+    """Inverse of a reduced signed word: reversed, each letter inverted."""
+    return u[::-1].swapcase()
 
 
 def is_positive(u):
-    """Is ``u`` a nonempty word using only plain (uninverted) letters?"""
+    """Is ``u`` a nonempty word using only plain (uninverted) letters?  For
+    a signed word, ``u.islower()`` says the same."""
     return bool(u) and u.islower()
 
 
@@ -145,20 +147,19 @@ class StackState:
 
 def _trusted(tail, entries):
     """State built by a machine transition from valid cells: canonicalize
-    like ``StackState(...)`` but skip the per-cell validation."""
-    while entries and entries[0] == tail:
+    like ``StackState(...)``, comparing only cells of one type (a word is no
+    atom), but skip the validation and the frozen ``__setattr__``."""
+    while entries and type(entries[0]) is type(tail) and entries[0] == tail:
         entries = entries[1:]
     state = object.__new__(StackState)
-    object.__setattr__(state, "tail", tail)
-    object.__setattr__(state, "entries", entries)
+    fields = state.__dict__
+    fields["tail"], fields["entries"] = tail, entries
     return state
 
 
-def _cell_at(state, depth):
+def _cell_at(tail, entries, depth):
     """Cell at the given depth, 0 being the innermost."""
-    if depth < len(state.entries):
-        return state.entries[-1 - depth]
-    return state.tail
+    return entries[-1 - depth] if depth < len(entries) else tail
 
 
 def cell_to_str(cell):
@@ -166,15 +167,12 @@ def cell_to_str(cell):
 
 
 def state_to_json(state):
-    return {
-        "tail": cell_to_str(state.tail),
-        "entries": [cell_to_str(e) for e in state.entries],
-    }
+    return {"tail": cell_to_str(state.tail), "entries": [cell_to_str(e) for e in state.entries]}
 
 
 def state_key(state):
     """Canonical line encoding, the input fed to seeded target hashing."""
-    return "|".join([cell_to_str(state.tail)] + [cell_to_str(e) for e in state.entries])
+    return "|".join([c if isinstance(c, str) else c.name for c in (state.tail, *state.entries)])
 
 
 ATOMS = tuple(Atom(f"y{i}") for i in range(8))
@@ -196,13 +194,13 @@ class SeededTarget:
     def __init__(self, seed, index):
         self.seed = seed
         self.index = index
+        self._prefix = f"{seed}|{index}|"
 
     def __call__(self, state):
         return self._build(state)
 
     def _build(self, state):
-        text = f"{self.seed}|{self.index}|{state_key(state)}"
-        digest = hashlib.sha256(text.encode("utf-8")).digest()
+        digest = hashlib.sha256((self._prefix + state_key(state)).encode()).digest()
         depth = digest[0] % 4
         if depth == 0:
             return _trusted(CELL_WORDS[digest[1] % len(CELL_WORDS)], ())
@@ -221,109 +219,120 @@ def seeded_targets(seed, count):
 
 
 class WitnessContext:
-    """Immutable data the machine folds over: the irredundant generators
-    of the family's submonoid, the per-index decompositions, and one
-    target map per index.  It trusts its one caller, ``verify_witness``:
+    """Immutable data the machine folds over: the family's irredundant
+    generators, each middle's decomposition, one target map per index, and
+    an Aho-Corasick automaton (``words.Automaton``) over the generators and
+    middles; ``folds[k]`` and ``fires[k]`` list, longest first, those on
+    node k's failure chain.  It trusts its one caller, ``verify_witness``:
     ``analyze_family`` numbers the decompositions 1..N, ``decompose`` gives
-    each a nonempty middle over {a, b}, exactly ``bound`` targets are sliced,
-    and equal middles fail ``middle-unique`` before any context is built."""
+    each a nonempty middle over {a, b}, exactly ``bound`` targets are
+    sliced, and equal middles fail ``middle-unique`` before any context is
+    built."""
 
     def __init__(self, generators, decompositions, targets):
         self.generators = tuple(generators)
         self.targets = tuple(targets)
-        self._gen_keys = frozenset(self.generators)
-        self._gen_tails = _suffix_closure(self.generators)
-        self._middle_map = {d.middle: d for d in decompositions}
-        self._middle_tails = _suffix_closure(self._middle_map)
+        self.middles = {d.middle: d for d in decompositions}
+        automaton = Automaton([(key, 0) for key in (*self.generators, *self.middles)], {})
+        automaton.close()
+        self.step, self.longest = automaton.step, max(automaton.depth)
+        self.folds, self.fires = [()] * len(automaton.depth), [()] * len(automaton.depth)
+        ends = automaton.ends
+        for chains, keyed in ((self.folds, dict(zip(ends, self.generators))),
+                              (self.fires, dict(zip(ends[len(self.generators):], self.middles)))):
+            for k in automaton.order:  # breadth first: fail[k] comes before k
+                chains[k] = ((keyed[k],) if k in keyed else ()) + chains[automaton.fail[k]]
 
 
-def _suffix_closure(keys):
-    out = set()
-    for key in keys:
-        for i in range(len(key)):
-            out.add(key[i:])
-    return frozenset(out)
-
-
-def _push(state, letter):
-    return _trusted(state.tail, state.entries + (letter,))
-
-
-def _scan_matches(state, keys, tails):
-    """All (depth, word) pairs where the innermost cells up to ``depth``
-    are positive, concatenate to a word in ``keys``, and the cell at
-    ``depth`` holds a signed word.  The scan walks outward and stops as
-    soon as the accumulated run is no longer a suffix of any key."""
-    matches = []
-    run = ""
-    depth = 0
-    while True:
-        cell = _cell_at(state, depth)
-        if not isinstance(cell, str) or not is_positive(cell):
+def _start_node(state, ctx):
+    """Node of ``state``: the automaton's node after reading its innermost
+    run of positive cells, outermost first.  Only the run's last
+    ``ctx.longest`` letters decide it, so the read stops there; a positive
+    tail repeats up to that length."""
+    text = ""
+    for cell in reversed(state.entries):
+        if len(text) >= ctx.longest or not (isinstance(cell, str) and cell.islower()):
             break
-        run = cell + run
-        if run not in tails:
-            break
-        if run in keys and isinstance(_cell_at(state, depth + 1), str):
-            matches.append((depth + 1, run))
-        depth += 1
-    return matches
+        text = cell + text
+    else:
+        if isinstance(state.tail, str) and is_positive(state.tail):
+            text = state.tail * ((ctx.longest - len(text)) // len(state.tail) + 1) + text
+    node = 0
+    for letter in text:
+        node = ctx.step[letter][node]
+    return node
 
 
-def _collapse(state, depth, word):
-    """Drop the cells below ``depth`` and multiply ``word`` into the
-    signed-word cell there."""
-    merged = gw_mul(_cell_at(state, depth), word)
-    stored = len(state.entries)
-    kept = state.entries[: stored - 1 - depth] if depth < stored else ()
-    return _trusted(state.tail, kept + (merged,))
-
-
-def _append_innermost(state, word):
-    """Multiply ``word`` into the innermost cell."""
-    if not word:
-        return state
-    if state.entries:
-        return _trusted(state.tail, state.entries[:-1] + (gw_mul(state.entries[-1], word),))
-    return _trusted(state.tail, (gw_mul(state.tail, word),))
-
-
-def collapse_generator(state, ctx):
-    """Fold the deepest positive run matching a generator, if any."""
-    matches = _scan_matches(state, ctx._gen_keys, ctx._gen_tails)
-    if not matches:
-        return state
+def _match(tail, entries, keys, what):
+    """The (depth, key) of the one key in ``keys`` (those ending at the
+    state's node, longest first) made of the whole cells below ``depth``,
+    the cell at ``depth`` being a signed word: None if there is none,
+    AmbiguousCollapse if there are two."""
+    run, depth, matches = "", 0, []
+    for key in reversed(keys):
+        size = len(key)
+        if not depth and entries[-size:] == tuple(key):
+            run, depth = key, size  # one letter per cell: no walk
+        while len(run) < size:
+            run = _cell_at(tail, entries, depth) + run
+            depth += 1
+        if len(run) == size and isinstance(_cell_at(tail, entries, depth), str):
+            matches.append((depth, key))
     if len(matches) > 1:
-        raise AmbiguousCollapse(f"overlapping generator folds: {matches}")
-    depth, word = matches[0]
-    return _collapse(state, depth, word)
+        raise AmbiguousCollapse(f"overlapping {what}: {matches}")
+    return matches[0] if matches else None
 
 
-def fire_target(state, ctx):
+def _collapse(tail, entries, depth, word):
+    """The state of these cells less those below ``depth``, with ``word``
+    multiplied into the cell there (at depth 0, the innermost cell)."""
+    if depth < len(entries):
+        kept = entries[: len(entries) - 1 - depth]
+        return _trusted(tail, kept + (gw_mul(entries[-1 - depth], word),))
+    return _trusted(tail, (gw_mul(tail, word),))
+
+
+def _fold(tail, entries, node, ctx):
+    """The state of these cells and its node, with the deepest positive run
+    matching a generator folded, if any.  Merged into a positive cell, the
+    run keeps its letters, so the node stays."""
+    match = _match(tail, entries, ctx.folds[node], "generator folds")
+    if not match:
+        return _trusted(tail, entries), node
+    folded = _collapse(tail, entries, *match)
+    return folded, node if _cell_at(tail, entries, match[0]).islower() else _start_node(folded, ctx)
+
+
+def fire_target(state, node, ctx):
     """Fire the target attached to a positive run matching a family
     middle: unwind the member prefix, apply the target map, pre-cancel
-    the member suffix."""
-    matches = _scan_matches(state, ctx._middle_map, ctx._middle_tails)
-    if not matches:
-        return state
-    if len(matches) > 1:
-        raise AmbiguousCollapse(f"overlapping middle matches: {matches}")
-    depth, word = matches[0]
-    dec = ctx._middle_map[word]
-    unwound = _collapse(state, depth, gw_inv(dec.prefix))
-    mapped = ctx.targets[dec.index - 1](unwound)
-    return _append_innermost(mapped, gw_inv(dec.suffix))
+    the member suffix.  Takes and returns the state's node, as ``step``."""
+    match = _match(state.tail, state.entries, ctx.fires[node], "middle matches")
+    if not match:
+        return state, node
+    dec = ctx.middles[match[1]]
+    unwound = _collapse(state.tail, state.entries, match[0], gw_inv(dec.prefix))
+    fired = ctx.targets[dec.index - 1](unwound)
+    if dec.suffix:
+        fired = _collapse(fired.tail, fired.entries, 0, gw_inv(dec.suffix))
+    return fired, _start_node(fired, ctx)
 
 
-def step(state, letter, mode, ctx):
-    """Apply one input letter.  Letter a pushes; letter b pushes, folds
-    generators, and in targeted mode also tries to fire a target."""
-    if letter == "a":
-        return _push(state, "a")
-    if letter == "b":
-        folded = collapse_generator(_push(state, "b"), ctx)
-        return fire_target(folded, ctx) if mode == TARGETED else folded
-    raise AlphabetError(f"letter {letter!r} is not in the alphabet {{a, b}}")
+def step(state, node, letter, mode, ctx):
+    """Apply one letter to ``state``, whose automaton node is ``node``;
+    return the next state and its node.  Letter a pushes; letter b pushes,
+    then folds and, in targeted mode, fires where a key ends at the node."""
+    if letter not in ("a", "b"):
+        raise AlphabetError(f"letter {letter!r} is not in the alphabet {{a, b}}")
+    tail, entries = state.tail, state.entries + (letter,)
+    node = ctx.step[letter][node]
+    if letter == "a" or not ctx.folds[node]:
+        state = _trusted(tail, entries)
+    else:
+        state, node = _fold(tail, entries, node, ctx)
+    if letter == "b" and mode == TARGETED and ctx.fires[node]:
+        state, node = fire_target(state, node, ctx)
+    return state, node
 
 
 def eval_hom(word, state, mode, ctx):
@@ -334,8 +343,9 @@ def eval_hom(word, state, mode, ctx):
         raise EmptyInput("eval_hom needs a nonempty word")
     if mode not in (BASE, TARGETED):
         raise ValueError(f"unknown mode {mode!r}")
+    node = _start_node(state, ctx)
     for ch in word:
-        state = step(state, ch, mode, ctx)
+        state, node = step(state, node, ch, mode, ctx)
     return state
 
 
@@ -392,24 +402,19 @@ def _extends_with(result, start, word):
     inside whose concatenation is ``word``?  When ``start`` stores no
     entries and its tail is a positive word, leading pushed cells equal to
     the tail may have been absorbed by canonicalization."""
-    if result.tail != start.tail:
-        return False
     stored = len(start.entries)
-    if stored and result.entries[:stored] != start.entries:
-        return False
     added = result.entries[stored:]
-    if not all(isinstance(c, str) and is_positive(c) for c in added):
+    # Positive cells: signed words (no atom) of plain letters only.
+    if (result.tail != start.tail or result.entries[:stored] != start.entries
+            or {*map(type, added)} - {str} or not all(map(str.islower, added))):
         return False
     joined = "".join(added)
-    if stored == 0:
-        missing = len(word) - len(joined)
-        if missing:
-            tail = start.tail
-            if not (isinstance(tail, str) and is_positive(tail)):
-                return False
-            if missing % len(tail):
-                return False
-            return tail * (missing // len(tail)) + joined == word
+    missing = len(word) - len(joined)
+    if stored == 0 and missing:
+        tail = start.tail
+        if not (isinstance(tail, str) and is_positive(tail)) or missing % len(tail):
+            return False
+        return tail * (missing // len(tail)) + joined == word
     return joined == word
 
 
@@ -430,8 +435,9 @@ class WitnessReport:
 
 
 def _read(run):
-    if isinstance(run, Exception):
-        raise run
+    """A walk's (state, node) result, raising the exception it recorded."""
+    if isinstance(run[0], Exception):
+        raise run[0]
     return run
 
 
@@ -454,30 +460,29 @@ def verify_witness(family, bound, targets, samples):
       evaluation followed by one firing pass.
 
     Sample-major walk: per sample and mode, the words run in sorted order,
-    each shared prefix stepped once.  A first-failure table keeps, of the
-    rows (check, item) in the order above, only the earliest to fail or
-    raise, with its first bad sample; it re-raises a recorded exception or
-    re-runs the failing cell for its report, so the report is the
-    row-by-row one.  Targets must be deterministic; a call holds
-    O(longest word + rows) states, whatever the sample count.
+    each shared prefix stepped once, each state kept with its node for the
+    next word and the firing step.  A first-failure table keeps, of the rows
+    (check, item) in the order above, only the earliest to fail or raise,
+    with its first bad sample; it re-raises a recorded exception or re-runs
+    the failing cell for its report, so the report is the row-by-row one.
+    Targets must be deterministic; a call holds O(longest word + rows)
+    states, whatever the sample count.
 
-    Raises ValueError when a sample repeats, HypothesisNotVerified when the
-    family fails its condition check, and VerificationFailure (carrying the
-    partial report) on the first mismatch.
+    Raises EmptyInput without samples, ValueError when a sample repeats,
+    HypothesisNotVerified when the family fails its condition check, and
+    VerificationFailure (carrying the partial report) on the first mismatch.
     """
+    if not samples:
+        raise EmptyInput("verify_witness needs at least one sampled state")
     if len(set(samples)) != len(samples):
         raise ValueError("the sampled states must be distinct")
     analysis = analyze_family(family, bound)
     if not analysis.verdict.holds or analysis.decompositions is None:
-        raise HypothesisNotVerified(
-            f"family fails the side conditions at bound {bound}", analysis.verdict
-        )
+        raise HypothesisNotVerified(f"family fails the side conditions at bound {bound}",
+                                    analysis.verdict)
     if not all(w[0] == "a" and w[-1] == "b" for w in analysis.words):
-        raise HypothesisNotVerified(
-            "the machine needs words starting with a and ending with b; "
-            "substitute the letters for each other first",
-            analysis.verdict,
-        )
+        raise HypothesisNotVerified("the machine needs words starting with a and ending with b; "
+                                    "substitute the letters for each other first", analysis.verdict)
     if len(targets) < bound:
         raise ValueError(f"need at least {bound} targets, got {len(targets)}")
     ctx = WitnessContext(
@@ -512,36 +517,37 @@ def verify_witness(family, bound, targets, samples):
         # An exception a step raises is the result of its word and of the
         # next words sharing the prefix through that letter.
         runs = {}
+        start = _start_node(x, ctx)
         for mode, plan in plans.items():
             results = runs[mode] = {}
-            path = [x]
+            path = [(x, start)]
             for word, shared in plan:
                 del path[shared + 1:]
-                state = path[-1]
+                state, node = path[-1]
                 if not isinstance(state, Exception):
                     try:
                         for ch in word[shared:]:
-                            state = step(state, ch, mode, ctx)
-                            path.append(state)
+                            state, node = step(state, node, ch, mode, ctx)
+                            path.append((state, node))
                     except Exception as exc:  # raised by the row that reads it
-                        path.append(state := exc)
-                results[word] = state
+                        path.append((state := exc, None))
+                results[word] = path[-1]
         return runs
 
     def cell(row, x, runs):
         # Runs are read and targets called in the row-by-row order.
         name, index, word = row
-        got = _read(runs[BASE if name in ("append", "stacking") else TARGETED][word])
+        got = _read(runs[BASE if name in ("append", "stacking") else TARGETED][word])[0]
         if name == "stacking":
             return got, x, _extends_with(got, x, word)
         if name == "target":
             expected = ctx.targets[index - 1](x)
         elif name == "append":
-            expected = _append_innermost(x, word)
+            expected = _collapse(x.tail, x.entries, 0, word)
         else:
-            expected = _read(runs[BASE][word])
+            expected, node = _read(runs[BASE][word])
             if name == "firing_step":
-                expected = fire_target(expected, ctx)
+                expected = fire_target(expected, node, ctx)[0]
         return got, expected, got == expected
 
     first, bad, raised = len(rows), None, None
@@ -568,20 +574,13 @@ def verify_witness(family, bound, targets, samples):
             raise raised
         x = samples[bad]
         got, expected, _ = cell(rows[first], x, walk(x))
-        report.failure = {
-            "check": name,
-            "index": index,
-            "state": state_to_json(x),
-            "got": state_to_json(got),
-            "expected": state_to_json(expected),
-        }
-        raise VerificationFailure(
-            f"{name} check failed at index {index} on {state_key(x)!r}", report
-        )
+        report.failure = {"check": name, "index": index, "state": state_to_json(x),
+                          "got": state_to_json(got), "expected": state_to_json(expected)}
+        raise VerificationFailure(f"{name} check failed at index {index} on {state_key(x)!r}",
+                                  report)
     if clash:
         dec, prefix = clash
         report.failure = {"check": "stacking-hypothesis", "index": dec.index, "prefix": prefix}
-        raise VerificationFailure(
-            f"middle {dec.middle!r} shares a prefix with a generator suffix", report
-        )
+        raise VerificationFailure(f"middle {dec.middle!r} shares a prefix with a generator suffix",
+                                  report)
     return report

@@ -11,8 +11,10 @@ words and middles instead of the middle scan over one trie, a triple
 loop over member starts, member ends and lengths instead of the occurrence
 search for repeated factors, a closure that rebuilds its generators from
 the whole pool every round and tests each candidate with ``member``, and a
-witness machine whose every transition goes through the validating
-``StackState(...)`` constructor instead of the machine's trusted one.  The
+witness machine that rescans the cells outward for a generator and then
+for a middle after every b, instead of carrying an automaton node along,
+and whose every transition goes through the validating ``StackState(...)``
+constructor instead of the machine's trusted one.  The
 reference witness verification runs the machine afresh for every check,
 as ``verify_witness`` did before its checks shared one table of runs.  The
 reference renderer turns each finding row into a dict and hands the report
@@ -47,9 +49,9 @@ from uniseq.witness import (
     WitnessContext,
     WitnessReport,
     _cell_at,
-    _scan_matches,
     gw_inv,
     gw_mul,
+    is_positive,
     state_key,
     state_to_json,
 )
@@ -309,7 +311,7 @@ def brute_solve(words, targets, size):
 
 
 def _collapse_reference(state, depth, word):
-    merged = gw_mul(_cell_at(state, depth), word)
+    merged = gw_mul(_cell_at(state.tail, state.entries, depth), word)
     stored = len(state.entries)
     kept = state.entries[: stored - 1 - depth] if depth < stored else ()
     return StackState(state.tail, kept + (merged,))
@@ -325,29 +327,64 @@ def _append_reference(state, word):
     return StackState(state.tail, (gw_mul(state.tail, word),))
 
 
-def _unique_match(state, keys, tails):
+def _suffix_closure(keys):
+    """Every nonempty suffix of every key."""
+    out = set()
+    for key in keys:
+        for i in range(len(key)):
+            out.add(key[i:])
+    return frozenset(out)
+
+
+def _scan_matches(state, keys, tails):
+    """All (depth, word) pairs where the innermost cells up to ``depth``
+    are positive, concatenate to a word in ``keys``, and the cell at
+    ``depth`` holds a signed word.  The scan walks outward and stops as
+    soon as the accumulated run is no longer a suffix of any key."""
+    matches = []
+    run = ""
+    depth = 0
+    while True:
+        cell = _cell_at(state.tail, state.entries, depth)
+        if not isinstance(cell, str) or not is_positive(cell):
+            break
+        run = cell + run
+        if run not in tails:
+            break
+        if run in keys and isinstance(_cell_at(state.tail, state.entries, depth + 1), str):
+            matches.append((depth + 1, run))
+        depth += 1
+    return matches
+
+
+def _unique_match(state, keys, tails, what):
     matches = _scan_matches(state, keys, tails)
     if len(matches) > 1:
-        raise AmbiguousCollapse(f"overlapping matches: {matches}")
+        raise AmbiguousCollapse(f"overlapping {what}: {matches}")
     return matches[0] if matches else None
 
 
 def eval_hom_reference(word, state, mode, ctx):
-    """``witness.eval_hom`` with every state re-validated: each push, fold,
-    firing and append builds its result through ``StackState(...)``."""
+    """``witness.eval_hom`` by rescanning the cells outward for a
+    generator, and then for a middle, after every b, with every state
+    re-validated: each push, fold, firing and append builds its result
+    through ``StackState(...)``."""
+    gen_keys = frozenset(ctx.generators)
+    gen_tails = _suffix_closure(gen_keys)
+    middle_tails = _suffix_closure(ctx.middles)
     for ch in word:
         state = StackState(state.tail, state.entries + (ch,))
         if ch != "b":
             continue
-        match = _unique_match(state, ctx._gen_keys, ctx._gen_tails)
+        match = _unique_match(state, gen_keys, gen_tails, "generator folds")
         if match:
             state = _collapse_reference(state, *match)
         if mode != TARGETED:
             continue
-        match = _unique_match(state, ctx._middle_map, ctx._middle_tails)
+        match = _unique_match(state, ctx.middles, middle_tails, "middle matches")
         if match:
             depth, middle = match
-            dec = ctx._middle_map[middle]
+            dec = ctx.middles[middle]
             unwound = _collapse_reference(state, depth, gw_inv(dec.prefix))
             mapped = ctx.targets[dec.index - 1](unwound)
             state = _append_reference(mapped, gw_inv(dec.suffix))
@@ -356,8 +393,8 @@ def eval_hom_reference(word, state, mode, ctx):
 
 def verify_witness_reference(family, bound, targets, samples):
     """``witness.verify_witness`` evaluating the machine anew for every
-    check.  It reaches ``eval_hom``, ``fire_target``, ``_append_innermost``
-    and ``_extends_with`` through the module, so a test that patches one of
+    check.  It reaches ``eval_hom``, ``fire_target``, ``_collapse`` and
+    ``_extends_with`` through the module, so a test that patches one of
     them changes both implementations alike."""
     analysis = analyze_family(family, bound)
     if not analysis.verdict.holds or analysis.decompositions is None:
@@ -406,7 +443,7 @@ def verify_witness_reference(family, bound, targets, samples):
         outputs = set()
         for x in samples:
             got = witness.eval_hom(v, x, BASE, ctx)
-            expected = witness._append_innermost(x, v)
+            expected = witness._collapse(x.tail, x.entries, 0, v)
             if got != expected:
                 fail("append", None, x, got, expected)
             outputs.add(got)
@@ -447,7 +484,8 @@ def verify_witness_reference(family, bound, targets, samples):
     for dec in analysis.decompositions:
         for x in samples:
             lhs = witness.eval_hom(dec.middle, x, TARGETED, ctx)
-            rhs = witness.fire_target(witness.eval_hom(dec.middle, x, BASE, ctx), ctx)
+            base = witness.eval_hom(dec.middle, x, BASE, ctx)
+            rhs = witness.fire_target(base, witness._start_node(base, ctx), ctx)[0]
             if lhs != rhs:
                 fail("firing_step", dec.index, x, lhs, rhs)
             report.checks["firing_step"] += 1

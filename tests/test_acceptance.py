@@ -16,7 +16,7 @@ from uniseq.submonoid import closure, member
 from uniseq.witness import (
     BASE,
     WitnessContext,
-    _append_innermost,
+    _collapse,
     eval_hom,
     sample_states,
     seeded_targets,
@@ -123,7 +123,7 @@ def test_criterion_5_append_property():
             outputs = set()
             for state in states:
                 got = eval_hom(product, state, BASE, ctx)
-                assert got == _append_innermost(state, product)
+                assert got == _collapse(state.tail, state.entries, 0, product)
                 outputs.add(got)
             assert len(outputs) == len(states)
 

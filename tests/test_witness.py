@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from helpers import TableTarget, eval_hom_reference, explicit_family, verify_witness_reference
 from uniseq import conditions, witness
-from uniseq.conditions import analyze_family
+from uniseq.conditions import Decomposition, analyze_family
 from uniseq.errors import (
     AmbiguousCollapse,
     CapExceeded,
+    EmptyInput,
     HypothesisNotVerified,
     VerificationFailure,
 )
@@ -35,7 +36,6 @@ from uniseq.witness import (
     SeededTarget,
     StackState,
     WitnessContext,
-    collapse_generator,
     eval_hom,
     fire_target,
     generator_products,
@@ -62,6 +62,11 @@ def alternating_ctx(bound=3, targets=None):
     return analysis, WitnessContext(
         analysis.closure.generators, analysis.decompositions, targets
     )
+
+
+def step_from(state, letter, mode, ctx):
+    """``step`` from the node derived for ``state``; the state it returns."""
+    return step(state, witness._start_node(state, ctx), letter, mode, ctx)[0]
 
 
 def test_reduction_small_cases():
@@ -112,20 +117,20 @@ def test_state_validation():
 def test_push_a_shifts_cells_inward():
     _, ctx = alternating_ctx()
     state = StackState(Y0, ("",))
-    assert step(state, "a", BASE, ctx) == StackState(Y0, ("", "a"))
+    assert step_from(state, "a", BASE, ctx) == StackState(Y0, ("", "a"))
 
 
 def test_generator_fold_merges_into_the_cell_above():
     _, ctx = alternating_ctx()
-    state = StackState(Y0, ("", "a", "b"))
-    assert collapse_generator(state, ctx) == StackState(Y0, ("ab",))
+    state = StackState(Y0, ("", "a"))
+    assert step_from(state, "b", BASE, ctx) == StackState(Y0, ("ab",))
 
 
 def test_push_b_without_a_match_just_pushes():
     _, ctx = alternating_ctx()
     state = StackState(Y0, ("ba",))
-    assert step(state, "b", BASE, ctx) == StackState(Y0, ("ba", "b"))
-    assert step(state, "b", TARGETED, ctx) == StackState(Y0, ("ba", "b"))
+    assert step_from(state, "b", BASE, ctx) == StackState(Y0, ("ba", "b"))
+    assert step_from(state, "b", TARGETED, ctx) == StackState(Y0, ("ba", "b"))
 
 
 def test_generator_evaluation_appends_to_the_innermost_cell():
@@ -146,10 +151,10 @@ def test_firing_is_inert_along_generator_product_paths():
     _, ctx = alternating_ctx()
     for v in [p for p in generator_products(ctx.generators) if len(p) <= 8]:
         for state in sample_states(5, 11):
-            current = state
+            current, node = state, witness._start_node(state, ctx)
             for ch in v:
-                current = step(current, ch, BASE, ctx)
-                assert fire_target(current, ctx) == current
+                current, node = step(current, node, ch, BASE, ctx)
+                assert fire_target(current, node, ctx) == (current, node)
 
 
 def test_target_fires_and_restores_the_start_state():
@@ -195,11 +200,123 @@ def test_evaluation_matches_the_validating_reference(family):
                 assert StackState(out.tail, out.entries) == out
 
 
+KEY_POOL = ("b", "ab", "ba", "aab", "abb", "bab", "abab", "aabb")
+RUN_CELLS = ("a", "b", "ab", "ba", "aab", "abb")
+OTHER_CELLS = ("", "A", "B", "aB", "Ab", "bA", Atom("y0"), Atom("y1"))
+
+
+@st.composite
+def machines(draw):
+    """A context over drawn generators and middles (keys that may overlap,
+    so two can match at once), a start state whose cells mix multi-letter
+    positive words, other signed words and atoms under any tail, a word
+    and a mode."""
+    generators = draw(st.lists(st.sampled_from(KEY_POOL), max_size=3, unique=True))
+    middles = draw(st.lists(st.sampled_from(KEY_POOL), max_size=3, unique=True))
+    sides = st.text("ab", max_size=2)
+    decs = [Decomposition(n, draw(sides), m, draw(sides)) for n, m in enumerate(middles, 1)]
+    ctx = WitnessContext(generators, decs, seeded_targets(draw(st.integers(0, 9)), len(decs)))
+    cells = st.sampled_from(RUN_CELLS + OTHER_CELLS)
+    tail = draw(cells)
+    entries = draw(st.lists(cells, max_size=4))
+    if not entries or not isinstance(entries[-1], str):
+        entries.append(draw(st.sampled_from(RUN_CELLS + ("", "A"))))
+    word = draw(st.text("ab", min_size=1, max_size=10))
+    return ctx, StackState(tail, tuple(entries)), word, draw(st.sampled_from((BASE, TARGETED)))
+
+
+def _run_and_above(state):
+    """The innermost run of positive cells, innermost first, and the cell
+    above it, None when the run goes on into a positive tail."""
+    run = []
+    for cell in reversed(state.entries):
+        if not (isinstance(cell, str) and is_positive(cell)):
+            return run, cell
+        run.append(cell)
+    if isinstance(state.tail, str) and is_positive(state.tail):
+        return run + [state.tail], None
+    return run, state.tail
+
+
+def _reference_steps(ctx, start, word, mode):
+    """``eval_hom_reference`` one letter at a time: the state after each
+    letter, ending with the exception a letter raised, if one did."""
+    states, state = [], start
+    for ch in word:
+        try:
+            state = eval_hom_reference(ch, state, mode, ctx)
+        except AmbiguousCollapse as exc:
+            return states + [exc]
+        states.append(state)
+    return states
+
+
+def test_carried_nodes_step_like_the_rescanning_reference():
+    """``step`` with the node carried along, and ``eval_hom``, against the
+    reference that rescans the cells after every b.  After every letter the
+    states agree and the carried node is the one derived from the state;
+    a letter where two keys match raises the same error in both.  Each
+    trap the carried node could fall into is labelled and must be drawn
+    with a key check on the way, so the draws are not vacuous."""
+    seen = Counter()
+
+    @settings(max_examples=400, deadline=None)
+    @given(machines())
+    def run_case(drawn):
+        ctx, start, word, mode = drawn
+        expected = _reference_steps(ctx, start, word, mode)
+        state, node = start, witness._start_node(start, ctx)
+        checked, labels = False, set()
+        for ch, want in zip(word, expected):
+            pushed = ctx.step[ch][node]
+            keyed = ctx.folds[pushed] or mode == TARGETED and ctx.fires[pushed]
+            checked |= ch == "b" and bool(keyed)
+            if isinstance(want, Exception):
+                with pytest.raises(AmbiguousCollapse) as info:
+                    step(state, node, ch, mode, ctx)
+                assert str(info.value) == str(want)
+                with pytest.raises(AmbiguousCollapse):
+                    eval_hom(word, start, mode, ctx)
+                labels.add("two keys match: raised")
+                break
+            stored = len(state.entries)
+            state, node = step(state, node, ch, mode, ctx)
+            assert state == want
+            assert node == witness._start_node(state, ctx)
+            # In base mode a letter that leaves no more cells folded.
+            inner = (state.entries or (state.tail,))[-1]
+            folded = mode == BASE and len(state.entries) <= stored
+            if checked and folded and len(inner) > 1 and is_positive(inner):
+                labels.add("multi-letter positive cell from a fold")
+        else:
+            assert eval_hom(word, start, mode, ctx) == state
+        if checked:
+            run, above = _run_and_above(start)
+            if any(len(c) > 1 for c in run):
+                labels.add("multi-letter positive cell from the sample")
+            if above is None:
+                labels.add("positive tail")
+            if isinstance(above, Atom):
+                labels.add("atom above the run")
+        for label in labels:
+            event(label)
+            seen[label] += 1
+
+    run_case()
+    assert {label for label, count in seen.items() if count} == {
+        "multi-letter positive cell from the sample",
+        "multi-letter positive cell from a fold",
+        "positive tail",
+        "atom above the run",
+        "two keys match: raised",
+    }, seen
+
+
 def test_machine_states_equal_and_hash_like_validated_ones():
     _, ctx = alternating_ctx()
     # The pushed cell equals the tail and must be absorbed, as the public
     # constructor would.
-    pushed = step(StackState("a"), "a", BASE, ctx)
+    pushed = step_from(StackState("a"), "a", BASE, ctx)
     assert pushed == StackState("a") and hash(pushed) == hash(StackState("a"))
     target = SeededTarget(0, 1)
     outputs = [eval_hom("abaab", s, TARGETED, ctx) for s in sample_states(20, 21)]
@@ -212,9 +329,9 @@ def test_machine_states_equal_and_hash_like_validated_ones():
 
 def test_ambiguous_fold_is_reported():
     ctx = WitnessContext(("ab", "aab"), (), ())
-    state = StackState("", ("a", "a", "b"))
+    state = StackState("", ("a", "a"))
     with pytest.raises(AmbiguousCollapse):
-        collapse_generator(state, ctx)
+        step_from(state, "b", BASE, ctx)
 
 
 def test_state_keys_are_distinct():
@@ -310,6 +427,16 @@ def test_steps_keep_states_canonical(w):
             assert out.entries[0] != out.tail
         else:
             assert isinstance(out.tail, str)
+
+
+def test_an_empty_sample_list_is_refused_before_the_analysis(monkeypatch):
+    # With no sample every check would count 0 and the report would pass.
+    def no_analysis(family, bound):
+        raise AssertionError("analyzed a family with no sample to check")
+
+    monkeypatch.setattr(witness, "analyze_family", no_analysis)
+    with pytest.raises(EmptyInput):
+        verify_witness(ALTERNATING, 3, seeded_targets(0, 3), [])
 
 
 def test_verification_passes_on_the_alternating_family():
@@ -423,17 +550,18 @@ def _last_step(word, sample, mode, ctx):
 
 def _fault_steps(monkeypatch, faults):
     """Make ``witness.step`` return, or raise, ``faults[args]`` on those
-    arguments.  Both verifiers step through this one pure function, so they
-    see the same faulty machine."""
+    arguments (the state, letter and mode; the node is the state's own),
+    with the node derived for it.  Both verifiers step through this one
+    pure function, so they see the same faulty machine."""
     real = witness.step
 
-    def faulty(state, letter, mode, ctx):
+    def faulty(state, node, letter, mode, ctx):
         fault = faults.get((state, letter, mode))
         if fault is None:
-            return real(state, letter, mode, ctx)
+            return real(state, node, letter, mode, ctx)
         if isinstance(fault, Exception):
             raise fault
-        return fault
+        return fault, witness._start_node(fault, ctx)
 
     monkeypatch.setattr(witness, "step", faulty)
 
@@ -585,9 +713,9 @@ def test_no_run_is_evaluated_twice(monkeypatch, family, bound, samples, letters)
     stepped = Counter()
     real = witness.step
 
-    def counted(state, letter, mode, ctx):
+    def counted(state, node, letter, mode, ctx):
         stepped[mode] += 1
-        return real(state, letter, mode, ctx)
+        return real(state, node, letter, mode, ctx)
 
     monkeypatch.setattr(witness, "step", counted)
     report = verify_witness(family, bound, seeded_targets(1, bound), sample_states(samples, 1))
@@ -646,8 +774,9 @@ def test_append_is_injective_on_distinct_states(named, count, seed, tail):
     merged = gw_mul(t, gw_inv(v))
     drawn = {StackState(t), StackState(t, (merged,)), StackState(Y0, (merged,)), StackState(Y0, (t,))}
     states = set(sample_states(count, seed)) | drawn
-    images = {witness._append_innermost(s, v) for s in states}
-    assert witness._append_innermost(StackState(t, (merged,)), v) == StackState(t)
+    images = {witness._collapse(s.tail, s.entries, 0, v) for s in states}
+    stripped = StackState(t, (merged,))
+    assert witness._collapse(stripped.tail, stripped.entries, 0, v) == StackState(t)
     event(f"products of {name}")
     event(f"{sum(not image.entries for image in images)} image(s) stripped to the tail")
     assert len(images) == len(states)
