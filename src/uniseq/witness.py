@@ -29,11 +29,11 @@ Trust boundary: the public ``StackState(...)`` constructor validates every
 cell (reduced signed word or atom, signed-word innermost cell) and is what
 samples and user code go through.  The machine's own transitions (push,
 fold, fire, append) build their states through ``_trusted``, which only
-canonicalizes: from valid states they make cells valid by construction (a
-plain letter, or the product of reduced words), so re-checking every
-stored cell on each letter would cost O(depth) per letter for nothing.
-``WitnessContext`` checks nothing either: its one caller builds it from an
-analysis that holds.
+canonicalizes: they start from valid states and produce cells that are
+valid by construction (a plain letter, or the product of reduced words),
+so re-checking every stored cell on each letter would cost O(depth) per
+letter for nothing.  ``WitnessContext`` checks nothing either: its one
+caller builds it from an analysis that holds.
 """
 
 import hashlib
@@ -94,8 +94,7 @@ def gw_inv(u):
 
 
 def is_positive(u):
-    """Is ``u`` a nonempty word using only plain (uninverted) letters?  For
-    a signed word, ``u.islower()`` says the same."""
+    """Is ``u`` a nonempty word using only plain (uninverted) letters?"""
     return bool(u) and u.islower()
 
 
@@ -159,7 +158,9 @@ def _trusted(tail, entries):
 
 def _cell_at(tail, entries, depth):
     """Cell at the given depth, 0 being the innermost."""
-    return entries[-1 - depth] if depth < len(entries) else tail
+    if depth < len(entries):
+        return entries[-1 - depth]
+    return tail
 
 
 def cell_to_str(cell):
@@ -167,7 +168,10 @@ def cell_to_str(cell):
 
 
 def state_to_json(state):
-    return {"tail": cell_to_str(state.tail), "entries": [cell_to_str(e) for e in state.entries]}
+    return {
+        "tail": cell_to_str(state.tail),
+        "entries": [cell_to_str(e) for e in state.entries],
+    }
 
 
 def state_key(state):
@@ -225,9 +229,8 @@ class WitnessContext:
     middles; ``folds[k]`` and ``fires[k]`` list, longest first, those on
     node k's failure chain.  It trusts its one caller, ``verify_witness``:
     ``analyze_family`` numbers the decompositions 1..N, ``decompose`` gives
-    each a nonempty middle over {a, b}, exactly ``bound`` targets are
-    sliced, and equal middles fail ``middle-unique`` before any context is
-    built."""
+    each a nonempty middle over {a, b}, exactly ``bound`` targets are sliced,
+    and equal middles fail ``middle-unique`` before any context is built."""
 
     def __init__(self, generators, decompositions, targets):
         self.generators = tuple(generators)
@@ -267,16 +270,15 @@ def _match(tail, entries, keys, what):
     """The (depth, key) of the one key in ``keys`` (those ending at the
     state's node, longest first) made of the whole cells below ``depth``,
     the cell at ``depth`` being a signed word: None if there is none,
-    AmbiguousCollapse if there are two."""
-    run, depth, matches = "", 0, []
+    AmbiguousCollapse if there are two.  The node was read off the positive
+    cells, so they end with each key's letters: only the cell lengths are
+    walked, to find where a key starts."""
+    cells = reversed(entries)  # depth 0, 1, ..., then the tail forever
+    above, covered, depth, matches = next(cells, tail), 0, 0, []
     for key in reversed(keys):
-        size = len(key)
-        if not depth and entries[-size:] == tuple(key):
-            run, depth = key, size  # one letter per cell: no walk
-        while len(run) < size:
-            run = _cell_at(tail, entries, depth) + run
-            depth += 1
-        if len(run) == size and isinstance(_cell_at(tail, entries, depth), str):
+        while covered < len(key):
+            covered, above, depth = covered + len(above), next(cells, tail), depth + 1
+        if covered == len(key) and isinstance(above, str):
             matches.append((depth, key))
     if len(matches) > 1:
         raise AmbiguousCollapse(f"overlapping {what}: {matches}")
@@ -290,17 +292,6 @@ def _collapse(tail, entries, depth, word):
         kept = entries[: len(entries) - 1 - depth]
         return _trusted(tail, kept + (gw_mul(entries[-1 - depth], word),))
     return _trusted(tail, (gw_mul(tail, word),))
-
-
-def _fold(tail, entries, node, ctx):
-    """The state of these cells and its node, with the deepest positive run
-    matching a generator folded, if any.  Merged into a positive cell, the
-    run keeps its letters, so the node stays."""
-    match = _match(tail, entries, ctx.folds[node], "generator folds")
-    if not match:
-        return _trusted(tail, entries), node
-    folded = _collapse(tail, entries, *match)
-    return folded, node if _cell_at(tail, entries, match[0]).islower() else _start_node(folded, ctx)
 
 
 def fire_target(state, node, ctx):
@@ -321,15 +312,21 @@ def fire_target(state, node, ctx):
 def step(state, node, letter, mode, ctx):
     """Apply one letter to ``state``, whose automaton node is ``node``;
     return the next state and its node.  Letter a pushes; letter b pushes,
-    then folds and, in targeted mode, fires where a key ends at the node."""
+    folds the deepest positive run matching a generator, if any, and in
+    targeted mode fires; both only where a key ends at the node."""
     if letter not in ("a", "b"):
         raise AlphabetError(f"letter {letter!r} is not in the alphabet {{a, b}}")
     tail, entries = state.tail, state.entries + (letter,)
     node = ctx.step[letter][node]
-    if letter == "a" or not ctx.folds[node]:
+    folds = ctx.folds[node] if letter == "b" else ()
+    match = folds and _match(tail, entries, folds, "generator folds")
+    if not match:
         state = _trusted(tail, entries)
     else:
-        state, node = _fold(tail, entries, node, ctx)
+        state = _collapse(tail, entries, *match)
+        # Merged into a positive cell, the run keeps its letters: the node stays.
+        if not _cell_at(tail, entries, match[0]).islower():
+            node = _start_node(state, ctx)
     if letter == "b" and mode == TARGETED and ctx.fires[node]:
         state, node = fire_target(state, node, ctx)
     return state, node
@@ -402,19 +399,24 @@ def _extends_with(result, start, word):
     inside whose concatenation is ``word``?  When ``start`` stores no
     entries and its tail is a positive word, leading pushed cells equal to
     the tail may have been absorbed by canonicalization."""
+    if result.tail != start.tail:
+        return False
     stored = len(start.entries)
+    if stored and result.entries[:stored] != start.entries:
+        return False
     added = result.entries[stored:]
-    # Positive cells: signed words (no atom) of plain letters only.
-    if (result.tail != start.tail or result.entries[:stored] != start.entries
-            or {*map(type, added)} - {str} or not all(map(str.islower, added))):
+    if not all(isinstance(c, str) and is_positive(c) for c in added):
         return False
     joined = "".join(added)
-    missing = len(word) - len(joined)
-    if stored == 0 and missing:
-        tail = start.tail
-        if not (isinstance(tail, str) and is_positive(tail)) or missing % len(tail):
-            return False
-        return tail * (missing // len(tail)) + joined == word
+    if stored == 0:
+        missing = len(word) - len(joined)
+        if missing:
+            tail = start.tail
+            if not (isinstance(tail, str) and is_positive(tail)):
+                return False
+            if missing % len(tail):
+                return False
+            return tail * (missing // len(tail)) + joined == word
     return joined == word
 
 
@@ -478,11 +480,15 @@ def verify_witness(family, bound, targets, samples):
         raise ValueError("the sampled states must be distinct")
     analysis = analyze_family(family, bound)
     if not analysis.verdict.holds or analysis.decompositions is None:
-        raise HypothesisNotVerified(f"family fails the side conditions at bound {bound}",
-                                    analysis.verdict)
+        raise HypothesisNotVerified(
+            f"family fails the side conditions at bound {bound}", analysis.verdict
+        )
     if not all(w[0] == "a" and w[-1] == "b" for w in analysis.words):
-        raise HypothesisNotVerified("the machine needs words starting with a and ending with b; "
-                                    "substitute the letters for each other first", analysis.verdict)
+        raise HypothesisNotVerified(
+            "the machine needs words starting with a and ending with b; "
+            "substitute the letters for each other first",
+            analysis.verdict,
+        )
     if len(targets) < bound:
         raise ValueError(f"need at least {bound} targets, got {len(targets)}")
     ctx = WitnessContext(
@@ -574,13 +580,20 @@ def verify_witness(family, bound, targets, samples):
             raise raised
         x = samples[bad]
         got, expected, _ = cell(rows[first], x, walk(x))
-        report.failure = {"check": name, "index": index, "state": state_to_json(x),
-                          "got": state_to_json(got), "expected": state_to_json(expected)}
-        raise VerificationFailure(f"{name} check failed at index {index} on {state_key(x)!r}",
-                                  report)
+        report.failure = {
+            "check": name,
+            "index": index,
+            "state": state_to_json(x),
+            "got": state_to_json(got),
+            "expected": state_to_json(expected),
+        }
+        raise VerificationFailure(
+            f"{name} check failed at index {index} on {state_key(x)!r}", report
+        )
     if clash:
         dec, prefix = clash
         report.failure = {"check": "stacking-hypothesis", "index": dec.index, "prefix": prefix}
-        raise VerificationFailure(f"middle {dec.middle!r} shares a prefix with a generator suffix",
-                                  report)
+        raise VerificationFailure(
+            f"middle {dec.middle!r} shares a prefix with a generator suffix", report
+        )
     return report
