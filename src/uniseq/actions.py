@@ -7,21 +7,19 @@ partition the ground set.  ``blocks`` computes them for the CLI's
 ``blocks`` command, an independent check on partial-permutation actions.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 def _point_key(p):
     return (repr(type(p)), repr(p))
 
 
-@dataclass(frozen=True)
-class PartialPerm:
-    ground: frozenset
-    pairs: tuple
+class PartialPerm(namedtuple("PartialPerm", "ground pairs")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        ground = frozenset(self.ground)
-        pairs = tuple(sorted(((x, y) for x, y in self.pairs), key=lambda p: _point_key(p[0])))
+    def __new__(cls, ground, pairs):
+        ground = frozenset(ground)
+        pairs = tuple(sorted(((x, y) for x, y in pairs), key=lambda p: _point_key(p[0])))
         sources = [x for x, _ in pairs]
         images = [y for _, y in pairs]
         if len(set(sources)) != len(sources):
@@ -31,8 +29,7 @@ class PartialPerm:
         for p in sources + images:
             if p not in ground:
                 raise ValueError(f"point {p!r} is outside the ground set")
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "pairs", pairs)
+        return tuple.__new__(cls, (ground, pairs))
 
 
 def partial_perm(mapping, ground):

@@ -9,36 +9,22 @@ never claim anything about larger indices.
 """
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import groupby, repeat
 from operator import itemgetter
 
 from .errors import SplitViolation
 from .families import instantiate_many
-from .submonoid import ClosureResult, closure, prefix_members, suffix_members
+from .submonoid import closure, prefix_members, suffix_members
 from .words import Automaton, check_word
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Split of a word into its longest member prefix, a nonempty middle,
-    and its longest member suffix."""
-
-    index: int
-    prefix: str
-    middle: str
-    suffix: str
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a check at ``bound``.  A finding is a plain row
-    ``(condition, 1-based word indices, witness words)`` of str and tuples."""
-
-    holds: bool
-    bound: int
-    violations: tuple = ()
-    warnings: tuple = ()
+# Split of a word into its longest member prefix, a nonempty middle, and
+# its longest member suffix.
+Decomposition = namedtuple("Decomposition", "index prefix middle suffix")
+# Outcome of a check at ``bound``.  A finding is a plain row
+# ``(condition, 1-based word indices, witness words)`` of str and tuples.
+Verdict = namedtuple("Verdict", "holds bound violations warnings", defaults=((), ()))
 
 
 def decompose(w, gens, index):
@@ -66,14 +52,9 @@ def decompose(w, gens, index):
     )
 
 
-@dataclass(frozen=True)
-class FamilyAnalysis:
-    """Everything the main condition check computes, kept for reuse."""
-
-    words: tuple[str, ...]
-    closure: ClosureResult
-    decompositions: tuple[Decomposition, ...] | None
-    verdict: Verdict
+# Everything the main condition check computes, kept for reuse;
+# ``decompositions`` is None when a word has none.
+FamilyAnalysis = namedtuple("FamilyAnalysis", "words closure decompositions verdict")
 
 
 def analyze_family(family, bound):
@@ -134,7 +115,6 @@ def _middle_findings(words, decomps):
     if not middles:
         return [], []
     automaton = Automaton([(w, 0) for w in words] + [(mid, 0) for _, mid in middles], {})
-    automaton.close()
     ending = {}
     for (n, _), k in zip(middles, automaton.ends[len(words):]):
         ending.setdefault(k, []).append(n)
@@ -190,7 +170,6 @@ def check_corollary(family, bound):
         raise ValueError("family checks need a bound of at least 2")
     words = instantiate_many(family, bound)
     automaton = Automaton([(w, 0) for w in words], {})
-    automaton.close()
     fail, depth = automaton.fail, automaton.depth
     ending = {}
     for n, k in enumerate(automaton.ends):

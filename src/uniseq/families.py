@@ -8,7 +8,7 @@ w_1, ..., w_k and larger indices are errors.
 """
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     AlphabetError,
@@ -21,47 +21,39 @@ from .errors import (
 from .words import ALPHABET, check_word
 
 
-@dataclass(frozen=True)
-class Literal:
-    word: str
+class Literal(namedtuple("Literal", "word")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_word(self.word)
+    def __new__(cls, word):
+        return tuple.__new__(cls, (check_word(word),))
 
 
-@dataclass(frozen=True)
-class Power:
-    base: str
-    coeff: int
-    offset: int
+class Power(namedtuple("Power", "base coeff offset")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_word(self.base)
-        if not self.base:
+    def __new__(cls, base, coeff, offset):
+        check_word(base)
+        if not base:
             raise ValueError("a power needs a nonempty base word")
-        if self.coeff < 0 or self.offset < 0:
+        if coeff < 0 or offset < 0:
             raise ValueError("exponent coefficients must be nonnegative")
-        if self.coeff + self.offset < 1:
+        if coeff + offset < 1:
             raise ValueError("the exponent must be positive for every index")
+        return tuple.__new__(cls, (base, coeff, offset))
 
     def exponent(self, index):
         return self.coeff * index + self.offset
 
 
-Segment = Literal | Power
-
-
-@dataclass(frozen=True)
-class SequenceFamily:
+class SequenceFamily(namedtuple("SequenceFamily", "templates explicit")):
     """A family is infinite when it consists of a single template (used for
     every index) and ``explicit`` is false; otherwise the templates form an
     explicit finite list, one per index, and larger indices are errors."""
 
-    templates: tuple[tuple[Segment, ...], ...]
-    explicit: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        templates = tuple(tuple(t) for t in self.templates)
+    def __new__(cls, templates, explicit=False):
+        templates = tuple(tuple(t) for t in templates)
         if not templates:
             raise ValueError("a family needs at least one template")
         for template in templates:
@@ -72,7 +64,7 @@ class SequenceFamily:
                     raise TypeError(f"bad segment {seg!r}")
             if not any(isinstance(s, Power) or s.word for s in template):
                 raise ValueError("template would produce the empty word")
-        object.__setattr__(self, "templates", templates)
+        return tuple.__new__(cls, (templates, explicit))
 
     @property
     def finite(self):

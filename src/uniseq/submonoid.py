@@ -18,27 +18,16 @@ Generating sets are plain tuples of words.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress, count
 
 from .errors import EmptyInput
 from .words import SHARED, Automaton, check_word, word_key
 
 
-@dataclass(frozen=True)
-class Round:
-    """Words extracted during one closure pass."""
-
-    repeated: tuple[str, ...]
-    cross: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ClosureResult:
-    generators: tuple[str, ...]
-    rounds: tuple[Round, ...]
-    pool: tuple[str, ...]
-    iterations: int
+# The words extracted during one closure pass.
+Round = namedtuple("Round", "repeated cross")
+ClosureResult = namedtuple("ClosureResult", "generators rounds pool iterations")
 
 
 def prefix_members(gens, w):
@@ -187,7 +176,6 @@ def cross_factors(gens, words):
     index = dict(zip(labels, count()))
     keep = {index[w]: bytes(suffix_members(gens, w)) for w in words}
     automaton = Automaton(list(labels.items()), keep)
-    automaton.close()
     fail, depth, owner = automaton.fail, automaton.depth, automaton.owner
     visited = [-1] * len(depth)
     out = {""}

@@ -25,20 +25,25 @@ The family is assumed to be in the orientation where every word starts
 with a and ends with b.  Mirrored families can be handled by substituting
 a and b for each other first.
 
+States and atoms are immutable tuples (``collections.namedtuple``), so
+equality and hashing run in C; a state equals the plain tuple
+``(tail, entries)``, and an atom never equals a word, since a tuple never
+equals a string.
+
 Trust boundary: the public ``StackState(...)`` constructor validates every
 cell (reduced signed word or atom, signed-word innermost cell) and is what
 samples and user code go through.  The machine's own transitions (push,
 fold, fire, append) build their states through ``_trusted``, which only
-canonicalizes: they start from valid states and produce cells that are
-valid by construction (a plain letter, or the product of reduced words),
-so re-checking every stored cell on each letter would cost O(depth) per
-letter for nothing.  ``WitnessContext`` checks nothing either: its one
-caller builds it from an analysis that holds.
+canonicalizes and builds the tuple: they start from valid states and
+produce cells that are valid by construction (a plain letter, or the
+product of reduced words), so re-checking every stored cell on each letter
+would cost O(depth) per letter for nothing.  ``WitnessContext`` checks
+nothing either: its one caller builds it from an analysis that holds.
 """
 
 import hashlib
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .conditions import analyze_family
 from .errors import (
@@ -98,18 +103,15 @@ def is_positive(u):
     return bool(u) and u.islower()
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(namedtuple("Atom", "name")):
     """Opaque cell value distinct from every signed word."""
 
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.name or all(ch in "abAB" for ch in self.name):
+    def __new__(cls, name):
+        if not name or all(ch in "abAB" for ch in name):
             raise ValueError("atom names must be distinguishable from signed words")
-
-
-Cell = str | Atom
+        return tuple.__new__(cls, (name,))
 
 
 def _check_cell(cell):
@@ -122,38 +124,35 @@ def _check_cell(cell):
     raise TypeError(f"cells are signed words or atoms, got {type(cell).__name__}")
 
 
-@dataclass(frozen=True)
-class StackState:
+class StackState(namedtuple("StackState", "tail entries")):
     """Eventually constant cell sequence: ``entries`` runs deepest first,
     ``entries[-1]`` is the innermost cell, and everything above
     ``entries[0]`` repeats ``tail`` forever.  Construction canonicalizes
     (the topmost stored entry never equals the tail), so structural
     equality coincides with equality of the encoded sequences."""
 
-    tail: Cell
-    entries: tuple[Cell, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        tail = _check_cell(self.tail)
-        entries = tuple(_check_cell(e) for e in self.entries)
+    def __new__(cls, tail, entries=()):
+        if isinstance(entries, str):
+            raise TypeError("entries are a sequence of cells, not a string")
+        tail = _check_cell(tail)
+        entries = tuple(_check_cell(e) for e in entries)
         while entries and entries[0] == tail:
             entries = entries[1:]
         innermost = entries[-1] if entries else tail
         if not isinstance(innermost, str):
             raise ValueError("the innermost cell must be a signed word")
-        object.__setattr__(self, "entries", entries)
+        return tuple.__new__(cls, (tail, entries))
 
 
 def _trusted(tail, entries):
     """State built by a machine transition from valid cells: canonicalize
     like ``StackState(...)``, comparing only cells of one type (a word is no
-    atom), but skip the validation and the frozen ``__setattr__``."""
+    atom), then build the tuple, skipping the validation."""
     while entries and type(entries[0]) is type(tail) and entries[0] == tail:
         entries = entries[1:]
-    state = object.__new__(StackState)
-    fields = state.__dict__
-    fields["tail"], fields["entries"] = tail, entries
-    return state
+    return tuple.__new__(StackState, (tail, entries))
 
 
 def _cell_at(tail, entries, depth):
@@ -237,7 +236,6 @@ class WitnessContext:
         self.targets = tuple(targets)
         self.middles = {d.middle: d for d in decompositions}
         automaton = Automaton([(key, 0) for key in (*self.generators, *self.middles)], {})
-        automaton.close()
         self.step, self.longest = automaton.step, max(automaton.depth)
         self.folds, self.fires = [()] * len(automaton.depth), [()] * len(automaton.depth)
         ends = automaton.ends
@@ -423,13 +421,16 @@ def _extends_with(result, start, word):
 _CHECK_NAMES = ("target", "append", "agreement", "stacking", "firing_step")
 
 
-@dataclass
 class WitnessReport:
-    bound: int
-    sample_count: int
-    checks: dict
-    failure: dict | None = None
-    not_applicable: tuple[str, ...] = ()
+    """Passes per check over ``sample_count`` samples at ``bound``, the
+    checks that do not apply, and the first ``failure``, if any, which
+    ``verify_witness`` sets on the report it raises with."""
+
+    __slots__ = ("bound", "sample_count", "checks", "failure", "not_applicable")
+
+    def __init__(self, bound, sample_count, checks, not_applicable):
+        self.bound, self.sample_count, self.checks = bound, sample_count, checks
+        self.failure, self.not_applicable = None, not_applicable
 
     @property
     def passed(self):

@@ -63,21 +63,24 @@ class Automaton:
     the pieces through node k, or ``SHARED`` once two labels have passed.
     ``ends[i]`` is the node where piece i ends, and ``paths[i]``, for each
     i in ``keep``, the nodes of piece i's path (one per prefix length from
-    0) that the selector ``keep[i]`` picks.  After ``close``,
-    ``step[letter][k]`` is the node of the longest suffix of (node k's word
-    + letter) that is a node and ``fail[k]`` that of the longest proper
-    suffix of node k's word.  So after reading a text, the failure chain
-    from the current node lists, longest first, every suffix of the text
-    that is a prefix of a piece, and the state after reading a prefix of a
-    piece is that prefix's node on the piece's path.
+    0) that the selector ``keep[i]`` picks.  ``step[letter][k]`` is the
+    node of the longest suffix of (node k's word + letter) that is a node
+    and ``fail[k]`` that of the longest proper suffix of node k's word;
+    ``order`` lists the nodes but the root breadth first, so ``fail[k]``
+    comes before k.  So after reading a text, the failure chain from the
+    current node lists, longest first, every suffix of the text that is a
+    prefix of a piece, and the state after reading a prefix of a piece is
+    that prefix's node on the piece's path.
 
     The pieces go in in sorted order (Fredkin's "Trie memory", 1960): a
     piece shares with all the pieces before it just the prefix it shares
     with the one before, so it resumes there and only its new letters are
     stepped in Python.  Owners are marked walking up from that depth to
     the first node already ``SHARED`` or owned by the piece's label, so
-    each node changes owner at most once.  Costs one sort, a binary search
-    of slice comparisons per piece, and O(nodes) steps.
+    each node changes owner at most once.  The failure links and the
+    missing transitions then follow in one breadth-first pass.  Costs one
+    sort, a binary search of slice comparisons per piece, and O(nodes)
+    steps.
     """
 
     def __init__(self, pieces, keep):
@@ -88,7 +91,6 @@ class Automaton:
         parent = self.parent = [0]
         ends = self.ends = [0] * len(pieces)
         paths = self.paths = {}
-        self.fail = self.order = None
         path = [0]  # nodes of the previous piece, by depth
         prev = ""
         for i in sorted(range(len(pieces)), key=pieces.__getitem__):
@@ -120,32 +122,27 @@ class Automaton:
             if i in keep:
                 paths[i] = list(compress(path, keep[i]))
             prev = word
-
-    def close(self):
-        """Compute the failure links, in breadth-first ``order``, and fill
-        in the missing transitions.  Costs O(nodes)."""
-        row_a, row_b = self.step["a"], self.step["b"]
-        fail = self.fail = [0] * len(self.depth)
-        order = self.order = [child for child in (row_a[0], row_b[0]) if child]
+        fail = self.fail = [0] * len(depth)
+        order = self.order = [child for child in (step_a[0], step_b[0]) if child]
         for node in order:
             back = fail[node]
-            child = row_a[node]
+            child = step_a[node]
             if child:
-                fail[child] = row_a[back]
+                fail[child] = step_a[back]
                 order.append(child)
             else:
-                row_a[node] = row_a[back]
-            child = row_b[node]
+                step_a[node] = step_a[back]
+            child = step_b[node]
             if child:
-                fail[child] = row_b[back]
+                fail[child] = step_b[back]
                 order.append(child)
             else:
-                row_b[node] = row_b[back]
+                step_b[node] = step_b[back]
 
     def earliest_ends(self, marked):
         """For each node k, a dict mapping each node of ``marked`` whose word
         occurs in node k's word to the end of its first occurrence there,
-        in order of those ends.  Call after ``close``.
+        in order of those ends.
 
         A marked word ends at u in a piece exactly when its node is on the
         failure chain of the piece's path node at depth u.  So, parents

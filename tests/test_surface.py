@@ -6,11 +6,16 @@ caller in the package or in the benchmark modules that import it
 parameter of a public function must be passed by some call there, so code
 and knobs that only tests use do not accumulate in ``src/``; the package
 namespace holds exactly the API the README documents, and the README's
-library example runs as written.
+library example runs as written.  Records are plain tuples, so no module
+imports ``dataclasses``, and importing the CLI loads neither it nor
+``inspect``.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import uniseq
@@ -109,3 +114,34 @@ def test_the_readme_library_example_runs(capsys):
     printed = capsys.readouterr().out.splitlines()
     assert printed[0] == "('ab',)"
     assert printed[-1].startswith("True ")
+
+
+def test_no_module_imports_dataclasses():
+    importers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                importers.append(path.name)
+    assert not importers, importers
+
+
+def _loaded(statement):
+    """Which of dataclasses and inspect a fresh interpreter has loaded
+    after running ``statement``."""
+    code = f"{statement}\nimport sys\nprint(*{{'dataclasses', 'inspect'}} & set(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return set(run.stdout.split())
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Compared against a bare interpreter, whose ``site`` may preload some.
+    assert _loaded("import uniseq.cli") <= _loaded("pass")

@@ -101,6 +101,25 @@ def test_state_canonicalization():
     assert StackState("ab", ("ab", "a")).entries == ("a",)
     assert StackState("ab", ("ab", "ab")).entries == ()
     assert StackState(Y0, (Y0, "a")).entries == ("a",)
+    # Two states are equal, and then hash alike, exactly when the
+    # sequences they encode are: cells agree at every depth.
+    states = [
+        StackState(tail, entries)
+        for tail in ("", "a", "ab", Y0, Atom("y1"))
+        for entries in ((), ("a",), ("ab",), ("a", "a"), ("ab", "a"), (Y0, ""), ("a", Y0, "a"))
+        if entries or isinstance(tail, str)
+    ]
+    for x, y in product(states, repeat=2):
+        cells = [
+            (witness._cell_at(x.tail, x.entries, d), witness._cell_at(y.tail, y.entries, d))
+            for d in range(max(len(x.entries), len(y.entries)) + 1)
+        ]
+        same = all(u == v and type(u) is type(v) for u, v in cells)
+        assert (x == y) == same, (x, y)
+        assert not same or hash(x) == hash(y)
+    # An atom never equals a word, another atom or a state.
+    assert Y0 not in {"y0", "", "ab", Atom("y1"), StackState(""), StackState(Y0, ("",))}
+    assert all(Y0 != x for x in states)
 
 
 def test_state_validation():
@@ -112,6 +131,8 @@ def test_state_validation():
         StackState("aA")  # cells must be stored reduced
     with pytest.raises(ValueError):
         Atom("ab")  # atom names cannot look like signed words
+    with pytest.raises(TypeError):
+        StackState("", "ab")  # a string is not split into one-letter cells
 
 
 def test_push_a_shifts_cells_inward():
@@ -318,6 +339,10 @@ def test_machine_states_equal_and_hash_like_validated_ones():
     # constructor would.
     pushed = step_from(StackState("a"), "a", BASE, ctx)
     assert pushed == StackState("a") and hash(pushed) == hash(StackState("a"))
+    # Machine states, validated states and atoms are all immutable.
+    for record, field in ((pushed, "tail"), (StackState("a"), "entries"), (Y0, "name")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, "b")
     target = SeededTarget(0, 1)
     outputs = [eval_hom("abaab", s, TARGETED, ctx) for s in sample_states(20, 21)]
     images = [target(out) for out in outputs]

@@ -21,7 +21,6 @@ def test_alphabet_validation():
 @given(st.lists(word_st, max_size=4), word_st)
 def test_failure_chain_lists_the_suffixes_that_start_a_pattern(patterns, text):
     automaton = Automaton([(p, k) for k, p in enumerate(patterns)], {})
-    automaton.close()
     for k, p in enumerate(patterns):
         assert automaton.depth[automaton.ends[k]] == len(p)
     node = 0
