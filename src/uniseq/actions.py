@@ -19,7 +19,7 @@ class PartialPerm(namedtuple("PartialPerm", "ground pairs")):
 
     def __new__(cls, ground, pairs):
         ground = frozenset(ground)
-        pairs = tuple(sorted(((x, y) for x, y in pairs), key=lambda p: _point_key(p[0])))
+        pairs = [(x, y) for x, y in pairs]
         sources = [x for x, _ in pairs]
         images = [y for _, y in pairs]
         if len(set(sources)) != len(sources):
@@ -29,7 +29,7 @@ class PartialPerm(namedtuple("PartialPerm", "ground pairs")):
         for p in sources + images:
             if p not in ground:
                 raise ValueError(f"point {p!r} is outside the ground set")
-        return tuple.__new__(cls, (ground, pairs))
+        return tuple.__new__(cls, (ground, frozenset(pairs)))
 
 
 def partial_perm(mapping, ground):

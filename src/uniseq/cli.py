@@ -200,13 +200,12 @@ def cmd_witness(args):
         report.update(verdict="not-verified", reason=str(exc), violations=exc.verdict.violations)
         return report, 1
     except VerificationFailure as exc:
-        report["verdict"] = "fail"
-        report.update(checks=dict(exc.report.checks), failure=exc.report.failure)
-        return report, 1
-    report.update(verdict="pass", checks=dict(result.checks), failure=None)
-    if result.not_applicable:
+        result = exc.report
+    report.update(verdict="pass" if result.passed else "fail", checks=result.checks,
+                  failure=result.failure)
+    if result.passed and result.not_applicable:
         report["not_applicable"] = result.not_applicable
-    return report, 0
+    return report, 0 if result.passed else 1
 
 
 def _parse_ints(name, text):

@@ -136,20 +136,17 @@ class StackState(namedtuple("StackState", "tail entries")):
     def __new__(cls, tail, entries=()):
         if isinstance(entries, str):
             raise TypeError("entries are a sequence of cells, not a string")
-        tail = _check_cell(tail)
-        entries = tuple(_check_cell(e) for e in entries)
-        while entries and entries[0] == tail:
-            entries = entries[1:]
-        innermost = entries[-1] if entries else tail
-        if not isinstance(innermost, str):
+        state = _trusted(_check_cell(tail), tuple(_check_cell(e) for e in entries))
+        if not isinstance(_cell_at(*state, 0), str):
             raise ValueError("the innermost cell must be a signed word")
-        return tuple.__new__(cls, (tail, entries))
+        return state
 
 
 def _trusted(tail, entries):
-    """State built by a machine transition from valid cells: canonicalize
-    like ``StackState(...)``, comparing only cells of one type (a word is no
-    atom), then build the tuple, skipping the validation."""
+    """State built from valid cells: canonicalize, comparing only cells of
+    one type (a word is no atom), then build the tuple.  ``StackState(...)``
+    validates its cells and builds through here; machine transitions call it
+    directly, skipping the validation."""
     while entries and type(entries[0]) is type(tail) and entries[0] == tail:
         entries = entries[1:]
     return tuple.__new__(StackState, (tail, entries))
@@ -195,8 +192,6 @@ class SeededTarget:
     """
 
     def __init__(self, seed, index):
-        self.seed = seed
-        self.index = index
         self._prefix = f"{seed}|{index}|"
 
     def __call__(self, state):
@@ -421,16 +416,11 @@ def _extends_with(result, start, word):
 _CHECK_NAMES = ("target", "append", "agreement", "stacking", "firing_step")
 
 
-class WitnessReport:
-    """Passes per check over ``sample_count`` samples at ``bound``, the
-    checks that do not apply, and the first ``failure``, if any, which
-    ``verify_witness`` sets on the report it raises with."""
+class WitnessReport(namedtuple("WitnessReport", "checks failure not_applicable")):
+    """Passes per check, the first ``failure`` (None on a pass) and the
+    checks that do not apply."""
 
-    __slots__ = ("bound", "sample_count", "checks", "failure", "not_applicable")
-
-    def __init__(self, bound, sample_count, checks, not_applicable):
-        self.bound, self.sample_count, self.checks = bound, sample_count, checks
-        self.failure, self.not_applicable = None, not_applicable
+    __slots__ = ()
 
     @property
     def passed(self):
@@ -466,14 +456,16 @@ def verify_witness(family, bound, targets, samples):
     each shared prefix stepped once, each state kept with its node for the
     next word and the firing step.  A first-failure table keeps, of the rows
     (check, item) in the order above, only the earliest to fail or raise,
-    with its first bad sample; it re-raises a recorded exception or re-runs
-    the failing cell for its report, so the report is the row-by-row one.
-    Targets must be deterministic; a call holds O(longest word + rows)
-    states, whatever the sample count.
+    with its first bad sample, and re-runs that cell on the sample for the
+    report, so the report is the row-by-row one.  Targets must be
+    deterministic, and ``walk`` records step exceptions, so a row that
+    threw throws again there: an exception of the same type and message,
+    but a new object.  A call holds O(longest word + rows) states, whatever
+    the sample count.
 
     Raises EmptyInput without samples, ValueError when a sample repeats,
     HypothesisNotVerified when the family fails its condition check, and
-    VerificationFailure (carrying the partial report) on the first mismatch.
+    VerificationFailure (carrying the report) on the first mismatch.
     """
     if not samples:
         raise EmptyInput("verify_witness needs at least one sampled state")
@@ -496,10 +488,6 @@ def verify_witness(family, bound, targets, samples):
         analysis.closure.generators, analysis.decompositions, tuple(targets)[:bound]
     )
     products = generator_products(ctx.generators)
-    report = WitnessReport(
-        bound, len(samples), {name: 0 for name in _CHECK_NAMES},
-        not_applicable=() if products else ("append", "agreement"),
-    )
     middles = [d.middle for d in analysis.decompositions]
     plans = {
         mode: [(w, common_prefix_length(p, w)) for p, w in zip([""] + words, words)]
@@ -536,7 +524,7 @@ def verify_witness(family, bound, targets, samples):
                         for ch in word[shared:]:
                             state, node = step(state, node, ch, mode, ctx)
                             path.append((state, node))
-                    except Exception as exc:  # raised by the row that reads it
+                    except Exception as exc:  # thrown by the row that reads it
                         path.append((state := exc, None))
                 results[word] = path[-1]
         return runs
@@ -557,7 +545,7 @@ def verify_witness(family, bound, targets, samples):
                 expected = fire_target(expected, node, ctx)[0]
         return got, expected, got == expected
 
-    first, bad, raised = len(rows), None, None
+    first, bad = len(rows), None
     for i, x in enumerate(samples):
         if not first:
             break
@@ -566,35 +554,33 @@ def verify_witness(family, bound, targets, samples):
             try:
                 if cell(rows[r], x, runs)[2]:
                     continue
-                raised = None
-            except Exception as exc:  # raised below if its row is reported
-                raised = exc
+            except Exception:  # thrown again below if its row is reported
+                pass
             first, bad = r, i
             break
 
+    checks = dict.fromkeys(_CHECK_NAMES, 0)
     for name, _, _ in rows[:first]:
-        report.checks[name] += len(samples)
+        checks[name] += len(samples)
+    failure = None
     if first < len(rows):
         name, index, _ = rows[first]
-        report.checks[name] += bad
-        if raised is not None:
-            raise raised
+        checks[name] += bad
         x = samples[bad]
         got, expected, _ = cell(rows[first], x, walk(x))
-        report.failure = {
+        failure = {
             "check": name,
             "index": index,
             "state": state_to_json(x),
             "got": state_to_json(got),
             "expected": state_to_json(expected),
         }
-        raise VerificationFailure(
-            f"{name} check failed at index {index} on {state_key(x)!r}", report
-        )
-    if clash:
+        message = f"{name} check failed at index {index} on {state_key(x)!r}"
+    elif clash:
         dec, prefix = clash
-        report.failure = {"check": "stacking-hypothesis", "index": dec.index, "prefix": prefix}
-        raise VerificationFailure(
-            f"middle {dec.middle!r} shares a prefix with a generator suffix", report
-        )
+        failure = {"check": "stacking-hypothesis", "index": dec.index, "prefix": prefix}
+        message = f"middle {dec.middle!r} shares a prefix with a generator suffix"
+    report = WitnessReport(checks, failure, () if products else ("append", "agreement"))
+    if failure:
+        raise VerificationFailure(message, report)
     return report

@@ -414,12 +414,12 @@ def verify_witness_reference(family, bound, targets, samples):
     )
     products = witness.generator_products(ctx.generators)
     report = WitnessReport(
-        bound, len(samples), {name: 0 for name in witness._CHECK_NAMES},
+        {name: 0 for name in witness._CHECK_NAMES}, None,
         not_applicable=() if products else ("append", "agreement"),
     )
 
     def fail(check, index, state, got, expected):
-        report.failure = {
+        failure = {
             "check": check,
             "index": index,
             "state": state_to_json(state),
@@ -427,7 +427,8 @@ def verify_witness_reference(family, bound, targets, samples):
             "expected": state_to_json(expected),
         }
         raise VerificationFailure(
-            f"{check} check failed at index {index} on {state_key(state)!r}", report
+            f"{check} check failed at index {index} on {state_key(state)!r}",
+            report._replace(failure=failure),
         )
 
     for n, w in enumerate(analysis.words, 1):
@@ -449,9 +450,10 @@ def verify_witness_reference(family, bound, targets, samples):
             outputs.add(got)
             report.checks["append"] += 1
         if len(outputs) != len(samples):
-            report.failure = {"check": "append-injective", "index": None, "product": v}
+            failure = {"check": "append-injective", "index": None, "product": v}
             raise VerificationFailure(
-                f"append map for {v!r} is not injective on the sample", report
+                f"append map for {v!r} is not injective on the sample",
+                report._replace(failure=failure),
             )
 
     for v in products:
@@ -466,14 +468,10 @@ def verify_witness_reference(family, bound, targets, samples):
         for length in range(1, len(dec.middle) + 1):
             prefix = dec.middle[:length]
             if any(g.endswith(prefix) for g in ctx.generators):
-                report.failure = {
-                    "check": "stacking-hypothesis",
-                    "index": dec.index,
-                    "prefix": prefix,
-                }
+                failure = {"check": "stacking-hypothesis", "index": dec.index, "prefix": prefix}
                 raise VerificationFailure(
                     f"middle {dec.middle!r} shares a prefix with a generator suffix",
-                    report,
+                    report._replace(failure=failure),
                 )
         for x in samples:
             got = witness.eval_hom(dec.middle, x, BASE, ctx)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from helpers import blocks_oracle
-from uniseq.actions import blocks, partial_perm
+from uniseq.actions import PartialPerm, blocks, partial_perm
 
 
 def pp(mapping, ground):
@@ -22,6 +22,15 @@ def test_injectivity_is_enforced():
         pp({1: 3, 2: 3}, [1, 2, 3])
     with pytest.raises(ValueError):
         pp({1: 4}, [1, 2, 3])
+
+
+def test_pairs_are_a_set_and_a_repeated_pair_is_refused():
+    assert PartialPerm([1, 2, 3, 4], [(3, 4), (1, 2)]) == pp({1: 2, 3: 4}, [1, 2, 3, 4])
+    assert pp({1: 2}, [1, 2]).pairs == frozenset({(1, 2)})
+    with pytest.raises(ValueError, match="two images"):
+        PartialPerm([1, 2], [(1, 2), (1, 2)])
+    with pytest.raises(ValueError, match="point 9 is outside"):
+        pp({9: 1, 8: 2}, [1, 2])
 
 
 def test_blocks_small_cases():

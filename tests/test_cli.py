@@ -9,7 +9,7 @@ import pytest
 from uniseq import cli
 from uniseq.equations import MAX_SET_SIZE
 from uniseq.families import MAX_BOUND
-from uniseq.witness import MAX_SAMPLES
+from uniseq.witness import MAX_SAMPLES, StackState, sample_states
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -141,6 +141,54 @@ def test_witness_without_generators_names_the_checks_that_do_not_apply(capsys):
     code, out = run_main(capsys, "witness", "alternating", "--bound", "2", "--samples", "3",
                          "--format", "json")
     assert "not_applicable" not in json.loads(out)
+
+
+@pytest.fixture
+def faulty_target(monkeypatch):
+    """Target 2 answers the second sample of seed 1 with a state that breaks
+    the canonical form (its stored top entry equals the tail), which no run
+    of the machine ends in, so the target check must fail there."""
+    real = cli.seeded_targets
+    bad_input = sample_states(3, 1)[1]
+
+    def patched(seed, count):
+        targets = list(real(seed, count))
+        good, bad_output = targets[1], tuple.__new__(StackState, ("b", ("b", "a")))
+        targets[1] = lambda x: bad_output if x == bad_input else good(x)
+        return tuple(targets)
+
+    monkeypatch.setattr(cli, "seeded_targets", patched)
+
+
+WITNESS_FAILURE = (
+    '{"check": "target", "index": 2, '
+    '"state": {"tail": "ba", "entries": ["y2", "Ab", "y7", "B"]}, '
+    '"got": {"tail": "b", "entries": ["a"]}, '
+    '"expected": {"tail": "b", "entries": ["b", "a"]}}'
+)
+
+
+def test_witness_fail_report(capsys, faulty_target):
+    argv = ("witness", "alternating", "--bound", "2", "--samples", "3", "--seed", "1")
+    assert run_main(capsys, *argv) == (1, lines(
+        "command: witness",
+        "family: alternating",
+        "bound: 2",
+        "samples: 3",
+        "seed: 1",
+        "verdict: fail",
+        "check target: 4",
+        "check append: 0",
+        "check agreement: 0",
+        "check stacking: 0",
+        "check firing_step: 0",
+        f"failure: {WITNESS_FAILURE}",
+    ))
+    assert run_main(capsys, *argv, "--format", "json") == (1, (
+        '{"command": "witness", "family": "alternating", "bound": 2, "samples": 3, '
+        '"seed": 1, "verdict": "fail", "checks": {"target": 4, "append": 0, "agreement": 0, '
+        f'"stacking": 0, "firing_step": 0}}, "failure": {WITNESS_FAILURE}}}\n'
+    ))
 
 
 def test_witness_text_not_verified_lists_the_violations(capsys, powers_file):

@@ -8,12 +8,17 @@ families, bounds 2 through 10, seeds 0 through 2 and both formats, with a
 fixed sample count.  The family-command matrix runs ``closure``,
 ``check-thm``, ``check-cor`` and ``decompose`` in both formats on the
 builtins at bounds 2, 9 and 30 and on ``FAILING_FAMILY`` at bound 10.
+The oracle matrix runs ``solve`` on sat, unsat and ``dup`` systems over
+ground sizes 1 to 4, and ``blocks`` on partial permutations listing their
+pairs in different orders and on a ground of 3,000 points, both formats;
+it also hashes stderr, so usage errors are pinned too.
 """
 
 import hashlib
 import io
 import json
-from contextlib import redirect_stdout
+import random
+from contextlib import redirect_stderr, redirect_stdout
 
 from test_kernels import FAILING_FAMILY
 from uniseq import cli
@@ -66,3 +71,75 @@ def test_family_command_output_matches_the_recorded_digest(monkeypatch, tmp_path
                 digest.update(f"{code}\n{out.getvalue()}".encode("utf-8"))
     assert codes == {0, 1}
     assert digest.hexdigest() == FAMILY_DIGEST
+
+
+def _image(word, a, b):
+    """Image map of ``word`` under the assignment a, b, composed left to right."""
+    current = tuple(range(len(a)))
+    for ch in word:
+        current = tuple((a if ch == "a" else b)[v] for v in current)
+    return current
+
+
+def _solve_argvs():
+    rng = random.Random("golden-solve")
+    argvs = []
+    for size in range(1, 5):
+        for _ in range(3):
+            a, b = (tuple(rng.randrange(size) for _ in range(size)) for _ in "ab")
+            words = ["".join(rng.choice("ab") for _ in range(rng.randint(1, 5))) for _ in range(3)]
+            # sat: every target is the image under a planted assignment.
+            argvs.append([(w, _image(w, a, b)) for w in words])
+            if size > 1:
+                # unsat: a maps to a and aa to something other than a twice.
+                wrong = tuple((v + 1) % size for v in _image("aa", a, b))
+                argvs.append([("a", a), ("aa", wrong), (words[0], _image(words[0], a, b))])
+                # dup: one word with two different targets.
+                other = tuple((v + 1) % size for v in _image(words[1], a, b))
+                argvs.append([(words[1], _image(words[1], a, b)), (words[1], other)])
+    return [
+        ["solve", *(arg for w, t in system for arg in ("-w", w, "-t", ",".join(map(str, t))))]
+        for system in argvs
+    ]
+
+
+def _blocks_argvs():
+    rng = random.Random("golden-blocks")
+    argvs = [
+        # The same perms with their pairs in opposite orders.
+        ["blocks", "--ground", "1,2,3,4,5", "--perm", "[[1,2],[4,5],[2,3]]"],
+        ["blocks", "--ground", "5,4,3,2,1", "--perm", "[[2,3],[4,5],[1,2]]"],
+        ["blocks", "--ground=-3,0,7,2", "--perm", "[[7,-3],[0,2]]", "--perm", "[[2,0]]"],
+        ["blocks", "--ground=-3,0,7,2", "--perm", "[[0,2],[7,-3]]", "--perm", "[[2,0]]"],
+        ["blocks", "--ground", "1,2,3"],
+        # Usage errors the partial permutation reports.
+        ["blocks", "--ground", "1,2,3", "--perm", "[[1,3],[2,3]]"],
+        ["blocks", "--ground", "1,2,3", "--perm", "[[1,2],[3,9]]"],
+    ]
+    points = rng.sample(range(-5000, 5000), 3000)
+    ground = ",".join(map(str, points))
+    for _ in range(2):
+        perms = []
+        for _ in range(3):
+            sources = rng.sample(points, 400)
+            images = rng.sample(points, 400)
+            perms += ["--perm", json.dumps([list(p) for p in zip(sources, images)])]
+        argvs.append(["blocks", f"--ground={ground}", *perms])
+    return argvs
+
+
+ORACLE_DIGEST = "0a6df7839072a6ff1ebecf58490f0a1c0726e1292808dcf8009ef04740ad9618"
+
+
+def test_oracle_command_output_matches_the_recorded_digest():
+    digest = hashlib.sha256()
+    codes = set()
+    for argv in _solve_argvs() + _blocks_argvs():
+        for fmt in FORMATS:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main([*argv, "--format", fmt])
+            codes.add(code)
+            digest.update(f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode("utf-8"))
+    assert codes == {0, 1, 2}
+    assert digest.hexdigest() == ORACLE_DIGEST

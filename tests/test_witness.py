@@ -805,3 +805,17 @@ def test_append_is_injective_on_distinct_states(named, count, seed, tail):
     event(f"products of {name}")
     event(f"{sum(not image.entries for image in images)} image(s) stripped to the tail")
     assert len(images) == len(states)
+
+
+# After the member prefix ab, folding ab into the cell A leaves the cells
+# a (tail), a (tail), ba, b, b: they spell the middle aababb with a signed
+# word above it, so word 1 fires its target two letters early.  The
+# reference machine gives the same image, so the fast path is not at fault.
+COUNTEREXAMPLE = StackState("a", ("ba", "b", "A"))
+
+
+@pytest.mark.xfail(strict=True, raises=VerificationFailure,
+                   reason="open: the machine fires early on this state")
+def test_alternating_realizes_its_targets_on_the_counterexample_state():
+    for seed in range(4):
+        verify_witness(ALTERNATING, 3, seeded_targets(seed, 3), [COUNTEREXAMPLE])
