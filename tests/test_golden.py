@@ -22,6 +22,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from test_kernels import FAILING_FAMILY
 from uniseq import cli
+from uniseq.equations import evaluate
 
 FAMILIES = ("banach", "sierpinski", "alternating")
 BOUNDS = range(2, 11)
@@ -73,33 +74,27 @@ def test_family_command_output_matches_the_recorded_digest(monkeypatch, tmp_path
     assert digest.hexdigest() == FAMILY_DIGEST
 
 
-def _image(word, a, b):
-    """Image map of ``word`` under the assignment a, b, composed left to right."""
-    current = tuple(range(len(a)))
-    for ch in word:
-        current = tuple((a if ch == "a" else b)[v] for v in current)
-    return current
-
-
 def _solve_argvs():
     rng = random.Random("golden-solve")
-    argvs = []
+    systems = []
     for size in range(1, 5):
         for _ in range(3):
             a, b = (tuple(rng.randrange(size) for _ in range(size)) for _ in "ab")
+            planted = {"a": a, "b": b}
             words = ["".join(rng.choice("ab") for _ in range(rng.randint(1, 5))) for _ in range(3)]
-            # sat: every target is the image under a planted assignment.
-            argvs.append([(w, _image(w, a, b)) for w in words])
+            # sat: every target is the image under the planted assignment.
+            systems.append([(w, evaluate(w, planted)) for w in words])
             if size > 1:
                 # unsat: a maps to a and aa to something other than a twice.
-                wrong = tuple((v + 1) % size for v in _image("aa", a, b))
-                argvs.append([("a", a), ("aa", wrong), (words[0], _image(words[0], a, b))])
+                wrong = tuple((v + 1) % size for v in evaluate("aa", planted))
+                systems.append([("a", a), ("aa", wrong), (words[0], evaluate(words[0], planted))])
                 # dup: one word with two different targets.
-                other = tuple((v + 1) % size for v in _image(words[1], a, b))
-                argvs.append([(words[1], _image(words[1], a, b)), (words[1], other)])
+                first = evaluate(words[1], planted)
+                other = tuple((v + 1) % size for v in first)
+                systems.append([(words[1], first), (words[1], other)])
     return [
         ["solve", *(arg for w, t in system for arg in ("-w", w, "-t", ",".join(map(str, t))))]
-        for system in argvs
+        for system in systems
     ]
 
 
