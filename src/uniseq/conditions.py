@@ -74,11 +74,17 @@ def analyze_family(family, bound):
     warning come from one sorted trie of the words and middles
     (``_middle_findings``): O(trie nodes) Python steps plus one step per
     (middle, word) occurrence, instead of 2N^2 subword tests.
+
+    The checks read only the closure's generators, so the closure runs
+    with ``generators_only``: ``analysis.closure.generators`` is exact,
+    but its ``rounds``, ``pool`` and ``iterations`` cover only the rounds
+    run in full before the generators were known to be both letters,
+    which may be none.  ``submonoid.closure(words)`` gives every round.
     """
     if bound < 2:
         raise ValueError("family checks need a bound of at least 2")
     words = instantiate_many(family, bound)
-    clo = closure(words)
+    clo = closure(words, generators_only=True)
     gens = clo.generators
     violations = []
     decomps = []

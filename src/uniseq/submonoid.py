@@ -28,6 +28,8 @@ from .words import SHARED, Automaton, check_word, word_key
 # The words extracted during one closure pass.
 Round = namedtuple("Round", "repeated cross")
 ClosureResult = namedtuple("ClosureResult", "generators rounds pool iterations")
+# The generators of the whole free monoid.
+_LETTERS = ("a", "b")
 
 
 def prefix_members(gens, w):
@@ -220,11 +222,28 @@ def _non_members(gens, words):
     return out
 
 
-def closure(words):
+def closure(words, *, generators_only=False):
     """Least submonoid closed under both extractions over ``words``.
+
+    By default every round runs, up to the one that adjoins nothing, and
+    the result records each round and the whole pool.  With
+    ``generators_only`` the loop stops once the generators must become
+    ``("a", "b")``: right after a round's repeated factors when they and
+    the current generators hold both letters (that round's cross factors
+    are skipped), or at the end of a round whose generators are both
+    letters.  A submonoid holding both letters is the whole free monoid,
+    so every later candidate is a member and the fixpoint is
+    ``("a", "b")`` whatever the skipped rounds would find.  The generators
+    are then exact; ``rounds``, ``pool`` and ``iterations`` cover only the
+    rounds run in full, a prefix of the default result's.
 
     >>> closure(["aa"]).generators
     ('a',)
+    >>> full = closure(["aa", "bb"])
+    >>> full.generators, full.iterations
+    (('a', 'b'), 2)
+    >>> closure(["aa", "bb"], generators_only=True)
+    ClosureResult(generators=('a', 'b'), rounds=(), pool=(), iterations=0)
     """
     words = [check_word(w) for w in words]
     if not words or any(not w for w in words):
@@ -235,6 +254,9 @@ def closure(words):
     rounds = []
     for _ in range(guard):
         rep = repeated_factors(gens, words)
+        if generators_only and rep.union(gens).issuperset(_LETTERS):
+            gens = _LETTERS
+            break
         cro = cross_factors(gens, words)
         rounds.append(
             Round(tuple(sorted(rep, key=word_key)), tuple(sorted(cro, key=word_key)))
@@ -248,6 +270,8 @@ def closure(words):
         # and both reduce to its unique irredundant generators: the
         # indecomposable members, as in any submonoid of a free monoid.
         gens = irredundant_generators(gens + tuple(fresh))
+        if generators_only and gens == _LETTERS:
+            break
     else:
         raise AssertionError("closure did not stabilize inside the subword pool")
     return ClosureResult(

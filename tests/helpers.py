@@ -249,10 +249,12 @@ def satisfies_conditions(gens, words):
     return all(member(gens, v) for v in found)
 
 
-def closure_reference(words):
+def closure_reference(words, *, generators_only=False):
     """``submonoid.closure`` with the reference repeated and cross factors,
     testing every candidate with ``member`` and rebuilding the irredundant
-    generators from the whole pool every round."""
+    generators from the whole pool every round.  It always runs to the
+    fixpoint: ``generators_only`` is accepted and ignored, so an analysis
+    through this reference compares against the full closure."""
     guard = sum(len(w) * (len(w) + 1) // 2 for w in words) + 2
     pool = set()
     gens = ()

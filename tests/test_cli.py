@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -486,6 +487,38 @@ def test_family_longer_than_the_letter_cap_is_a_usage_error(capsys, tmp_path, co
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "letters" in err
+
+
+def _limit_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize("command, verdict", [("check-thm", "fails"), ("witness", "not-verified")])
+def test_two_long_words_are_checked_in_bounded_time_and_memory(tmp_path, command, verdict):
+    # ab R ab and ba R ab with a random core R of L = 2,000 letters: the
+    # full closure's pool holds about L^2/2 words, but the repeated
+    # factors of its second round already hold both letters, so these
+    # commands, which read only the generators, skip its cross factors.
+    rng = random.Random(2000)
+    core = "".join(rng.choice("ab") for _ in range(2000))
+    path = tmp_path / "long-core.json"
+    path.write_text(json.dumps(
+        {"alphabet": "ab", "templates": [[{"lit": "ab" + core + "ab"}], [{"lit": "ba" + core + "ab"}]]}
+    ))
+    result = subprocess.run(
+        [sys.executable, "-m", "uniseq", command, str(path), "--bound", "2", "--format", "json"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        timeout=10,
+        preexec_fn=_limit_memory,
+    )
+    assert result.returncode == 1, result.stderr
+    report = json.loads(result.stdout)
+    assert report["verdict"] == verdict
+    assert [v["condition"] for v in report["violations"]] == ["split", "split"]
 
 
 def test_bound_below_two_is_rejected_for_checks():

@@ -5,7 +5,9 @@ and stdout, concatenated in matrix order, must equal the digest recorded
 when the matrix was first run, so a change that alters any report byte,
 verdict or exit code fails here.  The ``witness`` matrix covers the builtin
 families, bounds 2 through 10, seeds 0 through 2 and both formats, with a
-fixed sample count.  The family-command matrix runs ``closure``,
+fixed sample count; a second ``witness`` matrix runs ``FAILING_FAMILY`` and
+two more failing families, whose closures end with both letters as
+generators, at bounds 2 through 6.  The family-command matrix runs ``closure``,
 ``check-thm``, ``check-cor`` and ``decompose`` in both formats on the
 builtins at bounds 2, 9 and 30 and on ``FAILING_FAMILY`` at bound 10.
 The oracle matrix runs ``solve`` on sat, unsat and ``dup`` systems over
@@ -49,6 +51,46 @@ def test_witness_output_matches_the_recorded_digest():
                     digest.update(f"{code}\n{out.getvalue()}".encode("utf-8"))
     assert codes == {0}
     assert digest.hexdigest() == DIGEST
+
+
+# Two more families of the failing random-family shape g a^i X [m Y] b^j g:
+# their closures take four rounds and end with both letters as generators.
+FAILING_FAMILIES = {
+    "failing.json": FAILING_FAMILY,
+    "failing-one-power.json": {
+        "alphabet": "ab",
+        "templates": [[{"lit": "aaaba"}, {"pow": {"base": "aab", "c": 2, "d": 1}},
+                       {"lit": "bbaaab"}]],
+    },
+    "failing-two-powers.json": {
+        "alphabet": "ab",
+        "templates": [[{"lit": "abbbaa"}, {"pow": {"base": "aab", "c": 1, "d": 0}},
+                       {"lit": "ba"}, {"pow": {"base": "abb", "c": 1, "d": 1}},
+                       {"lit": "babbb"}]],
+    },
+}
+FAILING_WITNESS_DIGEST = "4edc8d3967098a36c54a434634be8ef2c425bd31d2c16b760c73999b4bdc0b7d"
+
+
+def test_failing_family_witness_output_matches_the_recorded_digest(monkeypatch, tmp_path):
+    # Reports name the family as given, so the files go in by a fixed relative path.
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    codes = set()
+    for name, spec in FAILING_FAMILIES.items():
+        (tmp_path / name).write_text(json.dumps(spec))
+        for bound in range(2, 7):
+            for fmt in FORMATS:
+                out = io.StringIO()
+                with redirect_stdout(out):
+                    code = cli.main([
+                        "witness", name, "--bound", str(bound),
+                        "--samples", str(SAMPLES), "--format", fmt,
+                    ])
+                codes.add(code)
+                digest.update(f"{code}\n{out.getvalue()}".encode("utf-8"))
+    assert codes == {1}
+    assert digest.hexdigest() == FAILING_WITNESS_DIGEST
 
 
 FAMILY_COMMANDS = ("closure", "check-thm", "check-cor", "decompose")

@@ -26,7 +26,7 @@ from uniseq import conditions
 from uniseq.conditions import Decomposition, analyze_family, check_corollary
 from uniseq.families import BUILTIN_FAMILIES, instantiate_many
 from uniseq.submonoid import closure, cross_factors, repeated_factors
-from uniseq.words import SHARED, Automaton
+from uniseq.words import SHARED, Automaton, word_key
 
 BUILTINS = sorted(BUILTIN_FAMILIES)
 
@@ -190,6 +190,33 @@ def test_closure_matches_the_full_pool_rebuild(shaped):
     result = closure(words)
     assert result == expected
     assert satisfies_conditions(result.generators, words)
+
+
+# Rounds the full closure runs past a generators-only one, by where that one stopped.
+EARLY_STOPS = {
+    0: "ran to the fixpoint",
+    1: "stopped at a round boundary",
+    2: "stopped after the repeated factors",
+}
+
+
+@settings(max_examples=300)
+@given(shaped_word_lists())
+def test_generators_only_closure_is_a_prefix_of_the_full_closure(shaped):
+    shape, words = shaped
+    expected = closure_reference(words)
+    result = closure(words, generators_only=True)
+    event(shape)
+    skipped = expected.iterations - result.iterations
+    assert skipped in EARLY_STOPS
+    event(EARLY_STOPS[skipped])
+    assert result.generators == expected.generators
+    if skipped:
+        assert result.generators == ("a", "b")
+    assert result.iterations == len(result.rounds)
+    assert result.rounds == expected.rounds[:result.iterations]
+    run = {v for r in result.rounds for v in r.repeated + r.cross}
+    assert result.pool == tuple(sorted(run, key=word_key))
 
 
 @st.composite

@@ -490,7 +490,9 @@ def test_equal_middles_stop_verification_before_a_context_is_built(monkeypatch):
     # A middle two words share is a cross factor, so a real closure makes
     # it a member; a closure that adjoins nothing leaves every whole word
     # as its own middle.
-    monkeypatch.setattr(conditions, "closure", lambda words: ClosureResult((), (), (), 1))
+    monkeypatch.setattr(
+        conditions, "closure", lambda words, *, generators_only=False: ClosureResult((), (), (), 1)
+    )
 
     def no_context(*args):
         raise AssertionError("a context was built for equal middles")
