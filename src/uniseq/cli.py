@@ -366,6 +366,9 @@ def main(argv=None):
     except (UniseqError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; the input is too large to finish", file=sys.stderr)
+        return 2
     return code
 
 

@@ -107,12 +107,12 @@ def _middle_findings(words, decomps):
     of middle-unique by m, then n's own prefix, then the warnings by m.
 
     ``decomps[n]`` is None or splits ``words[n]`` with a nonempty middle.
-    The words and the middles go into one sorted trie (``Automaton``), so
+    The middles and the words go into one sorted trie (``Automaton``), so
     each shared prefix is stepped once, and no word is run through the
-    automaton: its path is its trie path.  ``earliest_ends`` gives, at
-    each word's end node, every middle occurring in the word with the end
-    of its first occurrence u.  Prefix m is w_m[:len(prefix m)], so middle
-    n lies inside it exactly when u is at most that length.  With T the
+    automaton: its path is its trie path.  ``occurrences`` gives, for each
+    word, every middle occurring in it with the end of its first
+    occurrence u.  Prefix m is w_m[:len(prefix m)], so middle n lies
+    inside it exactly when u is at most that length.  With T the
     trie nodes and H the (middle, word) occurrence pairs, this costs
     O(T + H log H) steps, instead of testing every middle against every
     word and every prefix.
@@ -120,17 +120,9 @@ def _middle_findings(words, decomps):
     middles = [(n, dec.middle) for n, dec in enumerate(decomps) if dec is not None]
     if not middles:
         return [], []
-    automaton = Automaton([(w, 0) for w in words] + [(mid, 0) for _, mid in middles], {})
-    ending = {}
-    for (n, _), k in zip(middles, automaton.ends[len(words):]):
-        ending.setdefault(k, []).append(n)
-    earliest = automaton.earliest_ends(ending)
-    hits = sorted(
-        (n, m, u)
-        for m, k in enumerate(automaton.ends[:len(words)])
-        for j, u in earliest[k].items()
-        for n in ending[j]
-    )
+    automaton = Automaton([(mid, 0) for _, mid in middles] + [(w, 0) for w in words], {})
+    found = automaton.occurrences(range(len(middles)))[len(middles):]
+    hits = sorted((middles[j][0], m, u) for m, ends in enumerate(found) for j, u in ends.items())
     violations, warnings = [], []
     for n, group in groupby(hits, itemgetter(0)):
         dec = decomps[n]
@@ -159,15 +151,15 @@ def check_corollary(family, bound):
 
     One Aho-Corasick automaton holds all N words, inserted as one sorted
     trie, so each shared prefix is stepped once and w_m's path is its trie
-    path.  ``earliest_ends`` gives, at w_m's end node, every word occurring
-    in w_m (a subword), and the failure chain from that node lists every
-    suffix of w_m that is a prefix of some word.  Taken shortest first, a
-    chain suffix s is the witness for every word that properly extends s
-    and no shorter chain suffix; those words form one range of the sorted
-    word list, which is either wholly claimed by a shorter suffix already
-    or not at all.  Violations are ``(condition, (n, m), (witness,))`` rows
-    in (n, m) order, a ``prefix-suffix-overlap`` (witness: the overlap)
-    before a ``subword`` (witness: w_n).  With T the trie nodes, S the
+    path.  ``occurrences`` gives every word occurring in w_m (a subword),
+    and the failure chain from w_m's end node lists every suffix of w_m
+    that is a prefix of some word.  Taken shortest first, a chain suffix s
+    is the witness for every word that properly extends s and no shorter
+    chain suffix; those words form one range of the sorted word list,
+    which is either wholly claimed by a shorter suffix already or not at
+    all.  Violations are ``(condition, (n, m), (witness,))`` rows in
+    (n, m) order, a ``prefix-suffix-overlap`` (witness: the overlap) before
+    a ``subword`` (witness: w_n).  With T the trie nodes, S the
     subword pairs and V the violation count, this costs a sort,
     O(T + N^2 + S + V log V) steps and two binary searches per chain
     suffix, instead of trying every prefix length of every pair.
@@ -177,15 +169,12 @@ def check_corollary(family, bound):
     words = instantiate_many(family, bound)
     automaton = Automaton([(w, 0) for w in words], {})
     fail, depth = automaton.fail, automaton.depth
-    ending = {}
-    for n, k in enumerate(automaton.ends):
-        ending.setdefault(k, []).append(n)
-    earliest = automaton.earliest_ends(ending)
+    subwords = automaton.occurrences(range(len(words)))
     by_text = sorted(range(len(words)), key=words.__getitem__)
     sorted_words = [words[k] for k in by_text]
     found = []
     for m, (wm, node) in enumerate(zip(words, automaton.ends)):
-        found.extend((n, m, 1, words[n]) for k in earliest[node] for n in ending[k] if n != m)
+        found.extend((n, m, 1, words[n]) for n in subwords[m] if n != m)
         chain = []
         while node:
             chain.append(depth[node])

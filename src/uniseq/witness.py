@@ -172,7 +172,7 @@ def state_to_json(state):
 
 def state_key(state):
     """Canonical line encoding, the input fed to seeded target hashing."""
-    return "|".join([c if isinstance(c, str) else c.name for c in (state.tail, *state.entries)])
+    return "|".join([cell_to_str(c) for c in (state.tail, *state.entries)])
 
 
 ATOMS = tuple(Atom(f"y{i}") for i in range(8))
@@ -221,14 +221,15 @@ class WitnessContext:
     generators, each middle's decomposition, one target map per index, and
     an Aho-Corasick automaton (``words.Automaton``) over the generators and
     middles; ``folds[k]`` and ``fires[k]`` list, longest first, those on
-    node k's failure chain.  It trusts its one caller, ``verify_witness``:
-    ``analyze_family`` numbers the decompositions 1..N, ``decompose`` gives
-    each a nonempty middle over {a, b}, exactly ``bound`` targets are sliced,
-    and equal middles fail ``middle-unique`` before any context is built."""
+    node k's failure chain.  It trusts its one caller, ``verify_witness``,
+    and keeps the tuples it is given: ``analyze_family`` numbers the
+    decompositions 1..N, ``decompose`` gives each a nonempty middle over
+    {a, b}, exactly ``bound`` targets are sliced, and equal middles fail
+    ``middle-unique`` before any context is built."""
 
     def __init__(self, generators, decompositions, targets):
-        self.generators = tuple(generators)
-        self.targets = tuple(targets)
+        self.generators = generators
+        self.targets = targets
         self.middles = {d.middle: d for d in decompositions}
         automaton = Automaton([(key, 0) for key in (*self.generators, *self.middles)], {})
         self.step, self.longest = automaton.step, max(automaton.depth)
@@ -306,9 +307,9 @@ def step(state, node, letter, mode, ctx):
     """Apply one letter to ``state``, whose automaton node is ``node``;
     return the next state and its node.  Letter a pushes; letter b pushes,
     folds the deepest positive run matching a generator, if any, and in
-    targeted mode fires; both only where a key ends at the node."""
-    if letter not in ("a", "b"):
-        raise AlphabetError(f"letter {letter!r} is not in the alphabet {{a, b}}")
+    targeted mode fires; both only where a key ends at the node.  The
+    letter is trusted: its callers step through checked words and their
+    subwords, and any other letter is a KeyError of ``ctx.step``."""
     tail, entries = state.tail, state.entries + (letter,)
     node = ctx.step[letter][node]
     folds = ctx.folds[node] if letter == "b" else ()
@@ -376,8 +377,8 @@ def generator_products(generators):
     frontier = [""]
     while frontier and len(out) < 40:
         next_frontier = []
-        for w in sorted(frontier, key=word_key):
-            for g in sorted(generators, key=word_key):
+        for w in frontier:
+            for g in generators:
                 p = w + g
                 if len(p) <= 24 and p not in seen:
                     seen.add(p)
@@ -472,7 +473,7 @@ def verify_witness(family, bound, targets, samples):
     if len(set(samples)) != len(samples):
         raise ValueError("the sampled states must be distinct")
     analysis = analyze_family(family, bound)
-    if not analysis.verdict.holds or analysis.decompositions is None:
+    if not analysis.verdict.holds:
         raise HypothesisNotVerified(
             f"family fails the side conditions at bound {bound}", analysis.verdict
         )
@@ -488,11 +489,10 @@ def verify_witness(family, bound, targets, samples):
         analysis.closure.generators, analysis.decompositions, tuple(targets)[:bound]
     )
     products = generator_products(ctx.generators)
-    middles = [d.middle for d in analysis.decompositions]
     plans = {
         mode: [(w, common_prefix_length(p, w)) for p, w in zip([""] + words, words)]
-        for mode, words in ((TARGETED, sorted({*analysis.words, *products, *middles})),
-                            (BASE, sorted({*products, *middles})))
+        for mode, words in ((TARGETED, sorted({*analysis.words, *products, *ctx.middles})),
+                            (BASE, sorted({*products, *ctx.middles})))
     }
     rows = [("target", n, w) for n, w in enumerate(analysis.words, 1)]
     rows += [(name, None, v) for name in ("append", "agreement") for v in products]

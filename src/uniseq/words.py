@@ -139,22 +139,26 @@ class Automaton:
             else:
                 step_b[node] = step_b[back]
 
-    def earliest_ends(self, marked):
-        """For each node k, a dict mapping each node of ``marked`` whose word
-        occurs in node k's word to the end of its first occurrence there,
-        in order of those ends.
+    def occurrences(self, marked):
+        """For each piece i, a dict mapping each piece j of ``marked`` that
+        occurs in piece i to the end of its first occurrence there, in order
+        of those ends.  Marked pieces are nonempty.
 
-        A marked word ends at u in a piece exactly when its node is on the
-        failure chain of the piece's path node at depth u.  So, parents
-        first, each node takes its parent's dict and adds at its own depth
-        the marked nodes on its chain not in it yet.  A dict holding a
-        marked node holds that node's chain, so each walk stops at the first
-        node already in it, and a node adding nothing shares its parent's
-        dict.  Costs O(nodes) steps plus a dict copy per node that adds.
+        A marked piece ends at u in a text exactly when its end node is on
+        the failure chain of the text's node after u letters, and piece i's
+        path is its own text.  So, parents first, each node takes its
+        parent's dict and adds at its own depth the marked pieces on its
+        chain not in it yet.  A dict holding a marked piece holds its node's
+        chain, so each walk stops at the first node already held, and a node
+        adding nothing shares its parent's dict.  Costs O(nodes) steps plus
+        a dict copy per node that adds.
         """
         fail, parent, depth = self.fail, self.parent, self.depth
+        held = {}  # end node -> the marked pieces ending there
+        for j in marked:
+            held.setdefault(self.ends[j], []).append(j)
         nearest = [0] * len(depth)
-        for k in marked:
+        for k in held:
             nearest[k] = k
         for k in self.order:
             if not nearest[k]:
@@ -163,11 +167,11 @@ class Automaton:
         for k in self.order:
             above = out[parent[k]]
             j = nearest[k]
-            if not j or j in above:
+            if not j or held[j][0] in above:
                 out[k] = above
                 continue
             mine = out[k] = dict(above)
-            while j and j not in mine:
-                mine[j] = depth[k]
+            while j and held[j][0] not in mine:
+                mine.update(dict.fromkeys(held[j], depth[k]))
                 j = nearest[fail[j]]
-        return out
+        return [out[k] for k in self.ends]

@@ -521,6 +521,20 @@ def test_two_long_words_are_checked_in_bounded_time_and_memory(tmp_path, command
     assert [v["condition"] for v in report["violations"]] == ["split", "split"]
 
 
+def test_running_out_of_memory_is_an_input_error(capsys, monkeypatch):
+    # The closure command on the two long words above runs out of memory
+    # in its cross factors under a 512 MiB address-space limit.  That is no
+    # failing verdict (exit 1) with a traceback, but an input error.
+    def exhausted(words):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "closure", exhausted)
+    assert cli.main(["closure", "alternating", "--bound", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "memory" in err
+
+
 def test_bound_below_two_is_rejected_for_checks():
     result = run_cli("check-thm", "banach", "--bound", "1")
     assert result.returncode == 2

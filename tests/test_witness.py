@@ -1,7 +1,7 @@
 import gc
 import tracemalloc
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 from os.path import commonprefix
 
 import pytest
@@ -12,6 +12,7 @@ from helpers import TableTarget, eval_hom_reference, explicit_family, verify_wit
 from uniseq import conditions, witness
 from uniseq.conditions import Decomposition, analyze_family
 from uniseq.errors import (
+    AlphabetError,
     AmbiguousCollapse,
     CapExceeded,
     EmptyInput,
@@ -166,6 +167,23 @@ def test_base_and_targeted_modes_agree_on_generator_products():
     for v in [p for p in generator_products(ctx.generators) if len(p) <= 12]:
         for state in sample_states(10, 7):
             assert eval_hom(v, state, BASE, ctx) == eval_hom(v, state, TARGETED, ctx)
+
+
+def test_a_letter_outside_the_alphabet_is_refused_before_any_step(monkeypatch):
+    # ``step`` trusts its letter; ``eval_hom`` is the boundary that checks.
+    _, ctx = alternating_ctx()
+    monkeypatch.setattr(witness, "step", lambda *args: pytest.fail("stepped"))
+    with pytest.raises(AlphabetError, match="'c'"):
+        eval_hom("abc", StackState(Y0, ("",)), BASE, ctx)
+
+
+@pytest.mark.parametrize("generators", [("a", "b"), ("ab",), ("b", "ab", "aab"), ("ab", "ba", "aabb", "b")])
+def test_generator_products_do_not_depend_on_the_order_of_the_generators(generators):
+    expected = generator_products(generators)
+    assert expected == sorted(expected, key=lambda w: (len(w), w))
+    for order in permutations(generators):
+        assert generator_products(order) == expected
+        assert generator_products(list(reversed(order))) == expected
 
 
 def test_firing_is_inert_along_generator_product_paths():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import event, given
 from hypothesis import strategies as st
 
 from uniseq.errors import AlphabetError
@@ -62,3 +62,33 @@ def test_common_prefix_length_is_the_longest_agreeing_prefix(x, y):
     length = common_prefix_length(x, y)
     assert x[:length] == y[:length]
     assert length == min(len(x), len(y)) or x[length] != y[length]
+
+
+@st.composite
+def marked_pieces(draw):
+    """1-8 nonempty pieces, some of them copies of others, and the indices
+    of the ones marked."""
+    words = st.text(alphabet="ab", min_size=1, max_size=6)
+    base = draw(st.lists(words, min_size=1, max_size=4))
+    pieces = draw(st.lists(st.sampled_from(base) | words, min_size=1, max_size=8))
+    return pieces, draw(st.sets(st.integers(0, len(pieces) - 1)))
+
+
+@given(marked_pieces())
+def test_occurrences_are_the_first_ends_found_by_search(drawn):
+    pieces, marked = drawn
+    found = Automaton([(p, 0) for p in pieces], {}).occurrences(sorted(marked))
+    assert len(found) == len(pieces)
+    for i, text in enumerate(pieces):
+        expected = {}
+        for j in sorted(marked):
+            start = text.find(pieces[j])
+            if start >= 0:
+                expected[j] = start + len(pieces[j])
+        assert found[i] == expected
+        assert list(found[i].values()) == sorted(expected.values())
+    for j in marked:
+        hosts = {pieces[i] for i in range(len(pieces)) if pieces[j] in pieces[i]}
+        event("occurs in another piece" if len(hosts) > 1 else "occurs in itself only")
+    if len(set(pieces)) < len(pieces):
+        event("repeated piece")
