@@ -73,7 +73,7 @@ def analyze_family(family, bound):
     (n, m) with (middle n, prefix m).  The two middle conditions and the
     warning come from one sorted trie of the words and middles
     (``_middle_findings``): O(trie nodes) Python steps plus one step per
-    (middle, word) occurrence, instead of 2N^2 subword tests.
+    (middle, word) occurrence.
 
     The checks read only the closure's generators, so the closure runs
     with ``generators_only``: ``analysis.closure.generators`` is exact,
@@ -112,10 +112,9 @@ def _middle_findings(words, decomps):
     automaton: its path is its trie path.  ``occurrences`` gives, for each
     word, every middle occurring in it with the end of its first
     occurrence u.  Prefix m is w_m[:len(prefix m)], so middle n lies
-    inside it exactly when u is at most that length.  With T the
-    trie nodes and H the (middle, word) occurrence pairs, this costs
-    O(T + H log H) steps, instead of testing every middle against every
-    word and every prefix.
+    inside it exactly when u is at most that length.  With T the trie
+    nodes and H the (middle, word) occurrence pairs, this costs
+    O(T + H log H) steps.
     """
     middles = [(n, dec.middle) for n, dec in enumerate(decomps) if dec is not None]
     if not middles:
@@ -159,10 +158,10 @@ def check_corollary(family, bound):
     which is either wholly claimed by a shorter suffix already or not at
     all.  Violations are ``(condition, (n, m), (witness,))`` rows in
     (n, m) order, a ``prefix-suffix-overlap`` (witness: the overlap) before
-    a ``subword`` (witness: w_n).  With T the trie nodes, S the
-    subword pairs and V the violation count, this costs a sort,
+    a ``subword`` (witness: w_n).  With T the trie nodes, S the subword
+    pairs and V the violation count, this costs a sort,
     O(T + N^2 + S + V log V) steps and two binary searches per chain
-    suffix, instead of trying every prefix length of every pair.
+    suffix.
     """
     if bound < 2:
         raise ValueError("family checks need a bound of at least 2")

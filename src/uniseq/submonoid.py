@@ -103,8 +103,7 @@ def repeated_factors(gens, words):
 
     Cost: at most L^2/4 pairs (i, m) per word, each a slice and a dict
     lookup; deciding a piece adds one ``find`` and ``rfind`` and at most
-    twice the shorter of the two lists above.  The triple loop this
-    replaces compared up to L^3/12 slice pairs per word.
+    twice the shorter of the two lists above.
     """
     out = {""}
     for w in words:
@@ -166,8 +165,7 @@ def cross_factors(gens, words):
     w_j had its whole chain visited, so the walk stops there.  With P the
     total length of the pieces, this costs a sort and O(log) slice
     comparisons per piece, O(nodes) <= O(P) Python steps to build, and at
-    most one visit per node and word on the chains; no substring sets are
-    built and no pairs of words are intersected.
+    most one visit per node and word on the chains.
     """
     labels = {}  # piece -> the index of its one word, or SHARED
     for i, w in enumerate(words):
