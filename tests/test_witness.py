@@ -28,7 +28,7 @@ from uniseq.families import (
     SequenceFamily,
 )
 from uniseq.submonoid import ClosureResult
-from uniseq.words import common_prefix_length
+from uniseq.words import common_prefix_length, word_key
 from uniseq.witness import (
     BASE,
     MAX_SAMPLES,
@@ -180,7 +180,7 @@ def test_a_letter_outside_the_alphabet_is_refused_before_any_step(monkeypatch):
 @pytest.mark.parametrize("generators", [("a", "b"), ("ab",), ("b", "ab", "aab"), ("ab", "ba", "aabb", "b")])
 def test_generator_products_do_not_depend_on_the_order_of_the_generators(generators):
     expected = generator_products(generators)
-    assert expected == sorted(expected, key=lambda w: (len(w), w))
+    assert expected == sorted(expected, key=word_key)
     for order in permutations(generators):
         assert generator_products(order) == expected
         assert generator_products(list(reversed(order))) == expected
