@@ -13,12 +13,7 @@ from pathlib import Path
 from .actions import blocks, partial_perm
 from .conditions import analyze_family, check_corollary
 from .equations import DEFAULT_CAP, MAX_SET_SIZE, solve
-from .errors import (
-    HypothesisNotVerified,
-    ParseError,
-    UniseqError,
-    VerificationFailure,
-)
+from .errors import HypothesisNotVerified, ParseError, UniseqError
 from .families import BUILTIN_FAMILIES, MAX_BOUND, instantiate_many, load_family
 from .submonoid import closure
 from .witness import sample_states, seeded_targets, verify_witness
@@ -168,7 +163,7 @@ def cmd_check_thm(args):
     return _check_report(
         args,
         analysis.verdict,
-        generators=analysis.closure.generators,
+        generators=analysis.generators,
         decompositions=_decomposition_json(analysis),
     )
 
@@ -182,7 +177,7 @@ def cmd_decompose(args):
     split_failures = [v for v in analysis.verdict.violations if v[0] == "split"]
     report = _family_report(
         args,
-        generators=analysis.closure.generators,
+        generators=analysis.generators,
         decompositions=_decomposition_json(analysis),
         violations=split_failures,
     )
@@ -199,8 +194,6 @@ def cmd_witness(args):
     except HypothesisNotVerified as exc:
         report.update(verdict="not-verified", reason=str(exc), violations=exc.verdict.violations)
         return report, 1
-    except VerificationFailure as exc:
-        result = exc.report
     report.update(verdict="pass" if result.passed else "fail", checks=result.checks,
                   failure=result.failure)
     if result.passed and result.not_applicable:

@@ -2,7 +2,7 @@
 
 ``analyze_family`` checks the main condition (split-freeness and middle
 uniqueness over the longest-member-prefix/suffix decompositions) and keeps
-the words, closure and decompositions it computed; ``check_corollary``
+the words, generators and decompositions it computed; ``check_corollary``
 checks the stronger overlap-free condition.  All family-level verdicts are
 computed from the first N instantiated words and carry that bound; they
 never claim anything about larger indices.
@@ -13,7 +13,6 @@ from collections import namedtuple
 from itertools import groupby, repeat
 from operator import itemgetter
 
-from .errors import SplitViolation
 from .families import instantiate_many
 from .submonoid import closure, prefix_members, suffix_members
 from .words import Automaton, check_word
@@ -30,10 +29,10 @@ Verdict = namedtuple("Verdict", "holds bound violations warnings", defaults=((),
 def decompose(w, gens, index):
     """Longest-member-prefix / middle / longest-member-suffix split.
 
-    Raises SplitViolation when a cut pair covers ``w``: some split
-    w = s t v has both s t and t v members, so the longest member prefix
-    does not end strictly before the earliest member suffix starts.  In
-    particular a member ``w`` has no decomposition.
+    None when a cut pair covers ``w``: some split w = s t v has both s t
+    and t v members, so the longest member prefix does not end strictly
+    before the earliest member suffix starts.  In particular a member
+    ``w`` has no decomposition.
     """
     check_word(w)
     pre = prefix_members(gens, w)
@@ -41,9 +40,7 @@ def decompose(w, gens, index):
     longest_prefix_end = len(w) - pre[::-1].index(True)
     earliest_suffix_start = suf.index(True)
     if longest_prefix_end >= earliest_suffix_start:
-        raise SplitViolation(
-            f"word {index}: member prefix and suffix overlap or cover the word"
-        )
+        return None
     return Decomposition(
         index=index,
         prefix=w[:longest_prefix_end],
@@ -54,7 +51,7 @@ def decompose(w, gens, index):
 
 # Everything the main condition check computes, kept for reuse;
 # ``decompositions`` is None when a word has none.
-FamilyAnalysis = namedtuple("FamilyAnalysis", "words closure decompositions verdict")
+FamilyAnalysis = namedtuple("FamilyAnalysis", "words generators decompositions verdict")
 
 
 def analyze_family(family, bound):
@@ -75,30 +72,20 @@ def analyze_family(family, bound):
     (``_middle_findings``): O(trie nodes) Python steps plus one step per
     (middle, word) occurrence.
 
-    The checks read only the closure's generators, so the closure runs
-    with ``generators_only``: ``analysis.closure.generators`` is exact,
-    but its ``rounds``, ``pool`` and ``iterations`` cover only the rounds
-    run in full before the generators were known to be both letters,
-    which may be none.  ``submonoid.closure(words)`` gives every round.
+    The checks read only the closure's generators, so only they are kept;
+    ``submonoid.closure(words)`` gives every round.
     """
     if bound < 2:
         raise ValueError("family checks need a bound of at least 2")
     words = instantiate_many(family, bound)
-    clo = closure(words, generators_only=True)
-    gens = clo.generators
-    violations = []
-    decomps = []
-    for n, w in enumerate(words, 1):
-        try:
-            decomps.append(decompose(w, gens, n))
-        except SplitViolation:
-            decomps.append(None)
-            violations.append(("split", (n,), (w,)))
+    gens = closure(words, generators_only=True).generators
+    decomps = [decompose(w, gens, n) for n, w in enumerate(words, 1)]
+    violations = [("split", (n + 1,), (w,)) for n, w in enumerate(words) if decomps[n] is None]
     found, warnings = _middle_findings(words, decomps)
     violations += found
     verdict = Verdict(not violations, bound, tuple(violations), tuple(warnings))
-    complete = None if any(d is None for d in decomps) else tuple(decomps)
-    return FamilyAnalysis(tuple(words), clo, complete, verdict)
+    complete = None if None in decomps else tuple(decomps)
+    return FamilyAnalysis(tuple(words), gens, complete, verdict)
 
 
 def _middle_findings(words, decomps):

@@ -29,11 +29,6 @@ class EmptyInput(UniseqError, ValueError):
     """An operation that needs at least one nonempty word got none."""
 
 
-class SplitViolation(UniseqError):
-    """A word is covered by a member prefix and a member suffix, so it has
-    no decomposition with a nonempty middle."""
-
-
 class AmbiguousCollapse(UniseqError):
     """Two distinct stack collapses match at once.  The generating family
     does not meet the side conditions that make the machine well defined."""
@@ -46,14 +41,6 @@ class HypothesisNotVerified(UniseqError):
     def __init__(self, message, verdict):
         super().__init__(message)
         self.verdict = verdict
-
-
-class VerificationFailure(UniseqError):
-    """A witness evaluation disagreed with its target."""
-
-    def __init__(self, message, report):
-        super().__init__(message)
-        self.report = report
 
 
 class CapExceeded(UniseqError, ValueError):

@@ -67,7 +67,7 @@ def test_criterion_3_theorem_suite():
     with criterion(3, "theorem suite"):
         analysis = analyze_family(ALTERNATING, 5)
         assert analysis.verdict.holds
-        generators = analysis.closure.generators
+        generators = analysis.generators
         for n, dec in enumerate(analysis.decompositions, 1):
             assert dec.prefix == "ab"
             assert dec.suffix == "ab"
@@ -102,7 +102,7 @@ def test_criterion_5_append_property():
     with criterion(5, "append property"):
         analysis = analyze_family(ALTERNATING, 3)
         ctx = WitnessContext(
-            analysis.closure.generators,
+            analysis.generators,
             analysis.decompositions,
             tuple(TableTarget() for _ in range(3)),
         )

@@ -51,6 +51,11 @@ def test_blocks_small_cases():
     }
 
 
+def test_blocks_refuses_a_generator_on_another_ground_set():
+    with pytest.raises(ValueError, match="ground set mismatch"):
+        blocks([pp({1: 2}, [1, 2, 3])], [1, 2])
+
+
 def test_blocks_partition_the_ground_set():
     rng = random.Random(11)
     for _ in range(60):

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from uniseq import cli
+from helpers import STACKING_CLASH, TableTarget
+from uniseq import cli, witness
 from uniseq.equations import MAX_SET_SIZE
 from uniseq.families import MAX_BOUND
-from uniseq.witness import MAX_SAMPLES, StackState, sample_states
+from uniseq.witness import MAX_SAMPLES, Atom, StackState, sample_states
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -189,6 +190,34 @@ def test_witness_fail_report(capsys, faulty_target):
         '{"command": "witness", "family": "alternating", "bound": 2, "samples": 3, '
         '"seed": 1, "verdict": "fail", "checks": {"target": 4, "append": 0, "agreement": 0, '
         f'"stacking": 0, "firing_step": 0}}, "failure": {WITNESS_FAILURE}}}\n'
+    ))
+
+
+def test_witness_stacking_hypothesis_report(capsys, monkeypatch):
+    samples = [StackState(Atom("y0"), ("",)), StackState(Atom("y1"), ("A",))]
+    monkeypatch.setattr(witness, "analyze_family", lambda family, bound: STACKING_CLASH)
+    monkeypatch.setattr(cli, "seeded_targets", lambda seed, count: (TableTarget(),) * count)
+    monkeypatch.setattr(cli, "sample_states", lambda count, seed: samples)
+    argv = ("witness", "alternating", "--bound", "2", "--samples", "2")
+    failure = '{"check": "stacking-hypothesis", "index": 1, "prefix": "b"}'
+    assert run_main(capsys, *argv) == (1, lines(
+        "command: witness",
+        "family: alternating",
+        "bound: 2",
+        "samples: 2",
+        "seed: 0",
+        "verdict: fail",
+        "check target: 2",
+        "check append: 24",
+        "check agreement: 24",
+        "check stacking: 0",
+        "check firing_step: 0",
+        f"failure: {failure}",
+    ))
+    assert run_main(capsys, *argv, "--format", "json") == (1, (
+        '{"command": "witness", "family": "alternating", "bound": 2, "samples": 2, '
+        '"seed": 0, "verdict": "fail", "checks": {"target": 2, "append": 24, "agreement": 24, '
+        f'"stacking": 0, "firing_step": 0}}, "failure": {failure}}}\n'
     ))
 
 
@@ -430,6 +459,22 @@ def test_comma_separated_long_integer_is_a_usage_error_naming_the_option(capsys,
     assert (code, *capsys.readouterr()) == (
         2, "", f"error: {option}: an integer has too many digits\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "-t", "0"], "give at least one equation with -w WORD -t TARGET"),
+        (["solve", "-w", "a", "-w", "b", "-t", "0"], "need exactly one -t TARGET per -w WORD"),
+        (["solve", "-w", "a", "-w", "b", "-t", "0", "-t", "0,1"],
+         "all targets must have the same length"),
+        (["blocks", "--ground", "1,2", "--perm", "[[1,2]"],
+         "perm '[[1,2]' is not valid JSON: Expecting ',' delimiter"),
+    ],
+    ids=["no-word", "unequal-counts", "unequal-lengths", "perm-not-json"],
+)
+def test_solve_and_blocks_usage_errors_name_the_problem(capsys, argv, message):
+    assert (cli.main(argv), *capsys.readouterr()) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

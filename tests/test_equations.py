@@ -65,6 +65,8 @@ def test_cap_and_input_validation():
         solve([""], [(0, 1)], 2)
     with pytest.raises(ValueError):
         solve(["ac"], [(0, 1)], 2)
+    with pytest.raises(ValueError, match="at least one point"):
+        solve(["a"], [()], 0)
 
 
 def test_identical_calls_return_identical_solutions():

@@ -75,6 +75,10 @@ def test_invalid_segments_rejected():
         SequenceFamily(((Literal(""),),))
     with pytest.raises(ValueError):
         SequenceFamily(())
+    with pytest.raises(ValueError):
+        SequenceFamily(((),))
+    with pytest.raises(TypeError):
+        SequenceFamily((("ab",),))
 
 
 def test_substitution_examples():
@@ -167,6 +171,25 @@ def test_json_rejects_bad_exponent():
     doc = {"alphabet": "ab", "templates": [[{"pow": {"base": "a", "c": -1, "d": 1}}]]}
     with pytest.raises(ParseError):
         family_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"templates": [[{"lit": 1}]]}, r"templates\[0\]\[0\]\.lit must be a string"),
+        ({"templates": [[{"lit": "abc"}]]}, r"templates\[0\]\[0\]\.lit: .*'c'"),
+        ({"templates": [[{"pow": 1}]]}, r"templates\[0\]\[0\]\.pow must be an object"),
+        ({"templates": [[{"pow": {"base": 1, "c": 1, "d": 0}}]]},
+         r"templates\[0\]\[0\]\.pow\.base must be a string"),
+        ({"templates": [[{"lit": "ab"}]], "explicit": 1}, "'explicit' must be a boolean"),
+        ({"templates": [[{"lit": ""}]]}, "template would produce the empty word"),
+    ],
+    ids=["lit-not-a-string", "lit-foreign-letter", "pow-not-an-object", "base-not-a-string",
+         "explicit-not-a-boolean", "empty-word"],
+)
+def test_json_names_the_malformed_field(doc, message):
+    with pytest.raises(ParseError, match=message):
+        family_from_json({"alphabet": "ab", **doc})
 
 
 def test_json_rejects_malformed_segments():

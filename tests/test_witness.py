@@ -8,7 +8,14 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from helpers import TableTarget, eval_hom_reference, explicit_family, verify_witness_reference
+import helpers
+from helpers import (
+    STACKING_CLASH,
+    TableTarget,
+    eval_hom_reference,
+    explicit_family,
+    verify_witness_reference,
+)
 from uniseq import conditions, witness
 from uniseq.conditions import Decomposition, analyze_family
 from uniseq.errors import (
@@ -17,7 +24,6 @@ from uniseq.errors import (
     CapExceeded,
     EmptyInput,
     HypothesisNotVerified,
-    VerificationFailure,
 )
 from uniseq.families import (
     ALTERNATING,
@@ -60,9 +66,7 @@ signed_st = st.text(alphabet="abAB", max_size=8)
 def alternating_ctx(bound=3, targets=None):
     analysis = analyze_family(ALTERNATING, bound)
     targets = targets or tuple(TableTarget() for _ in range(bound))
-    return analysis, WitnessContext(
-        analysis.closure.generators, analysis.decompositions, targets
-    )
+    return analysis, WitnessContext(analysis.generators, analysis.decompositions, targets)
 
 
 def step_from(state, letter, mode, ctx):
@@ -90,6 +94,11 @@ def test_signed_word_multiplication_laws(x, y, z):
     assert gw_mul(x, "") == x
     assert gw_mul("", x) == x
     assert gw_mul(x, gw_inv(x)) == ""
+
+
+def test_a_foreign_letter_is_not_a_signed_letter():
+    with pytest.raises(AlphabetError, match="'c'"):
+        reduce_word("abc")
 
 
 def test_positive_words():
@@ -134,6 +143,8 @@ def test_state_validation():
         Atom("ab")  # atom names cannot look like signed words
     with pytest.raises(TypeError):
         StackState("", "ab")  # a string is not split into one-letter cells
+    with pytest.raises(TypeError):
+        StackState("", (1,))  # a cell is a signed word or an atom
 
 
 def test_push_a_shifts_cells_inward():
@@ -177,6 +188,15 @@ def test_a_letter_outside_the_alphabet_is_refused_before_any_step(monkeypatch):
         eval_hom("abc", StackState(Y0, ("",)), BASE, ctx)
 
 
+def test_eval_hom_refuses_an_empty_word_and_an_unknown_mode():
+    _, ctx = alternating_ctx()
+    state = StackState(Y0, ("",))
+    with pytest.raises(EmptyInput):
+        eval_hom("", state, BASE, ctx)
+    with pytest.raises(ValueError, match="unknown mode 'other'"):
+        eval_hom("ab", state, "other", ctx)
+
+
 @pytest.mark.parametrize("generators", [("a", "b"), ("ab",), ("b", "ab", "aab"), ("ab", "ba", "aabb", "b")])
 def test_generator_products_do_not_depend_on_the_order_of_the_generators(generators):
     expected = generator_products(generators)
@@ -202,7 +222,7 @@ def test_target_fires_and_restores_the_start_state():
     start = StackState(Y0, ("A",))
     table = TableTarget({start: marker})
     targets = (table,) + tuple(TableTarget() for _ in range(2))
-    ctx = WitnessContext(analysis.closure.generators, analysis.decompositions, targets)
+    ctx = WitnessContext(analysis.generators, analysis.decompositions, targets)
     got = eval_hom(analysis.words[0], start, TARGETED, ctx)
     assert got == marker
 
@@ -223,9 +243,7 @@ def test_evaluation_matches_the_validating_reference(family):
     bound = 4
     analysis = analyze_family(family, bound)
     assert analyze_family(family, bound).verdict.holds
-    ctx = WitnessContext(
-        analysis.closure.generators, analysis.decompositions, seeded_targets(2, bound)
-    )
+    ctx = WitnessContext(analysis.generators, analysis.decompositions, seeded_targets(2, bound))
     words = (
         analysis.words
         + tuple(d.middle for d in analysis.decompositions)
@@ -523,6 +541,11 @@ def test_equal_middles_stop_verification_before_a_context_is_built(monkeypatch):
     assert [v[0] for v in info.value.verdict.violations] == ["middle-unique"] * 2
 
 
+def test_fewer_targets_than_the_bound_are_refused():
+    with pytest.raises(ValueError, match="need at least 3 targets, got 2"):
+        verify_witness(ALTERNATING, 3, seeded_targets(0, 2), sample_states(3, 0))
+
+
 def test_repeated_sample_states_are_rejected():
     samples = sample_states(5, 0)
     with pytest.raises(ValueError, match="distinct"):
@@ -532,7 +555,7 @@ def test_repeated_sample_states_are_rejected():
 def test_verification_with_a_three_letter_generator():
     family = SequenceFamily(((Literal("aaba"), Power("aab", 1, 1), Literal("baab")),))
     analysis = analyze_family(family, 3)
-    assert analysis.closure.generators == ("aab",)
+    assert analysis.generators == ("aab",)
     report = verify_witness(family, 3, seeded_targets(4, 3), sample_states(25, 4))
     assert report.passed
     assert report.checks["append"] > 0
@@ -616,12 +639,42 @@ def test_verification_failure_carries_a_report(monkeypatch):
     targets = tuple(TableTarget() for _ in range(3))
     samples = [StackState(Y0, ("",))] + sample_states(4, 2)
     _fault_steps(monkeypatch, {_last_step(analysis.words[0], samples[0], TARGETED, ctx): MARKER})
-    with pytest.raises(VerificationFailure) as info:
-        verify_witness(ALTERNATING, 3, targets, samples)
-    report = info.value.report
-    assert report is not None
-    assert report.failure is not None
+    report = verify_witness(ALTERNATING, 3, targets, samples)
+    assert not report.passed
     assert report.failure["check"] == "target"
+
+
+@pytest.mark.parametrize(
+    "result, start, word, extends",
+    [
+        (StackState(Y0, ("", "a", "b")), StackState(Y0, ("",)), "ab", True),
+        (StackState("ab"), StackState("ab"), "abab", True),  # pushes absorbed by the tail
+        (StackState("b", ("", "ab")), StackState("a", ("",)), "ab", False),
+        (StackState(Y0, ("b", "ab")), StackState(Y0, ("",)), "ab", False),
+        (StackState(Y0, ("", "A")), StackState(Y0, ("",)), "A", False),
+        (StackState("A"), StackState("A"), "ab", False),
+        (StackState("ab"), StackState("ab"), "aba", False),
+    ],
+    ids=["pushed", "absorbed", "tail-differs", "entries-differ", "not-positive",
+         "tail-not-positive", "not-whole-tails"],
+)
+def test_stacking_accepts_exactly_the_pushed_cells(result, start, word, extends):
+    assert witness._extends_with(result, start, word) is extends
+
+
+def test_a_middle_ending_a_generator_fails_the_stacking_hypothesis(monkeypatch):
+    # Rows that run before the stacking rows still count; no stacking or
+    # firing_step row runs.
+    monkeypatch.setattr(witness, "analyze_family", lambda family, bound: STACKING_CLASH)
+    monkeypatch.setattr(helpers, "analyze_family", lambda family, bound: STACKING_CLASH)
+    samples = [StackState(Y0, ("",)), StackState(Atom("y1"), ("A",))]
+    for verify in (verify_witness, verify_witness_reference):
+        report = verify(ALTERNATING, 1, (TableTarget(),), samples)
+        assert report.failure == {"check": "stacking-hypothesis", "index": 1, "prefix": "b"}
+        assert report.checks == {
+            "target": 2, "append": 24, "agreement": 24, "stacking": 0, "firing_step": 0
+        }
+        assert not report.passed
 
 
 def _outcome(verify, family, bound, targets, samples):
@@ -629,8 +682,6 @@ def _outcome(verify, family, bound, targets, samples):
     or the message of the collapse it raised."""
     try:
         report = verify(family, bound, targets, samples)
-    except VerificationFailure as exc:
-        report = exc.report
     except AmbiguousCollapse as exc:
         return "raised", str(exc)
     return report.checks, report.not_applicable, report.failure
@@ -655,7 +706,7 @@ def _alternating_runs():
     analysis = analyze_family(ALTERNATING, 3)
     return {
         "words": analysis.words,
-        "products": generator_products(analysis.closure.generators),
+        "products": generator_products(analysis.generators),
         "middles": [d.middle for d in analysis.decompositions],
     }
 
@@ -766,7 +817,7 @@ def test_no_run_is_evaluated_twice(monkeypatch, family, bound, samples, letters)
     report = verify_witness(family, bound, seeded_targets(1, bound), sample_states(samples, 1))
     assert report.passed
     analysis = analyze_family(family, bound)
-    shared = generator_products(analysis.closure.generators)
+    shared = generator_products(analysis.generators)
     shared += [d.middle for d in analysis.decompositions]
     assert stepped == {
         TARGETED: samples * _trie_size(list(analysis.words) + shared),
@@ -806,7 +857,7 @@ def test_memory_stays_flat_in_the_sample_count():
 APPEND_PRODUCTS = [
     (name, v)
     for name, family in (("alternating", ALTERNATING), ("two-powers", TWO_POWERS))
-    for v in generator_products(analyze_family(family, 3).closure.generators)
+    for v in generator_products(analyze_family(family, 3).generators)
 ]
 
 
@@ -834,8 +885,9 @@ def test_append_is_injective_on_distinct_states(named, count, seed, tail):
 COUNTEREXAMPLE = StackState("a", ("ba", "b", "A"))
 
 
-@pytest.mark.xfail(strict=True, raises=VerificationFailure,
+@pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="open: the machine fires early on this state")
 def test_alternating_realizes_its_targets_on_the_counterexample_state():
     for seed in range(4):
-        verify_witness(ALTERNATING, 3, seeded_targets(seed, 3), [COUNTEREXAMPLE])
+        report = verify_witness(ALTERNATING, 3, seeded_targets(seed, 3), [COUNTEREXAMPLE])
+        assert report.failure is None, report.failure
